@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from .driver import refine_root
 from .errors import InsufficientDataError, SimpleRootError
 from .jets import jet_eval
-from .precision import PrecisionContext, make_context
-
-
-def usable_floor(ctx: PrecisionContext):
-    """Smallest |e_n| that still carries order information: 2^(-4*bits/5)."""
-    mp = ctx.mp
-    return mp.mpf(2) ** (-mp.mpf(4 * ctx.bits) / 5)
+from .precision import PrecisionContext
 
 
 @dataclass
@@ -48,7 +42,7 @@ def coc(trace, ctx: PrecisionContext) -> CocEstimate:
         raise InsufficientDataError(
             "trace carries no error values; solve with a reference_root"
         )
-    floor = usable_floor(ctx)
+    floor = ctx.usable_floor
     usable = [e > floor for e in errs]
     count = sum(usable)
     if count < 3:
@@ -91,7 +85,7 @@ def empirical_ratio(trace, order: int, ctx: PrecisionContext) -> list:
         raise InsufficientDataError(
             "trace carries no error values; solve with a reference_root"
         )
-    floor = usable_floor(ctx)
+    floor = ctx.usable_floor
     return [
         errs[i + 1] / errs[i] ** order
         for i in range(len(errs) - 1)
@@ -163,7 +157,7 @@ def stencil_coefficients(f, x, ctx: PrecisionContext) -> list:
     error of about 2^(-bits/2) relative, stays tied to the caller's
     context. Results are rounded back to the caller's precision.
     """
-    wide = make_context(2 * ctx.bits + 64)
+    wide = PrecisionContext(2 * ctx.bits + 64)
     h = wide.mpf(2) ** -(ctx.bits // 4)
     x = wide.mpf(x)
     fm2 = f(x - 2 * h, wide)

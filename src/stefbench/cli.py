@@ -34,7 +34,7 @@ from .errors import (
     SimpleRootError,
 )
 from .functions import BUILTINS, FUNCTION_NAMES, from_expression, get_function
-from .methods import METHOD_TAGS, TABLE_METHODS, MethodKind, claimed_order
+from .methods import METHOD_TAGS, METHODS, TABLE_METHODS, MethodKind, claimed_order
 from .precision import PrecisionContext
 from .reference import run_benchmark
 
@@ -96,11 +96,11 @@ def _parse_theta(text):
 
 def _make_kind(args) -> MethodKind:
     theta = getattr(args, "theta", None)
-    if args.method == "kou":
-        return MethodKind("kou", -1 if theta is None else _parse_theta(theta))
-    if theta is not None:
+    if theta is None:
+        return MethodKind(args.method)
+    if args.method != "kou":
         raise _UsageError("--theta only applies to --method kou")
-    return MethodKind(args.method)
+    return MethodKind("kou", _parse_theta(theta))
 
 
 def _resolve_function(args):
@@ -139,6 +139,7 @@ def cmd_solve(args) -> int:
             "x0": x0,
             "precision_bits": ctx.bits,
             "status": trace.status,
+            "detail": trace.detail,
             "f_call_total": trace.f_call_total,
             "iterates": [
                 {"n": t.n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)}
@@ -158,6 +159,8 @@ def cmd_solve(args) -> int:
             print(f"{t.n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
         steps = len(trace.iterates) - 1
         print(f"status: {trace.status} after {steps} iterations ({trace.f_call_total} f-calls)")
+        if trace.detail:
+            print(f"detail: {trace.detail}")
     return 0 if trace.status in SUCCESS_STATUSES else 1
 
 
@@ -337,10 +340,9 @@ def cmd_constant(args) -> int:
 
 def cmd_list(args) -> int:
     print("methods (benchmark tables use the first seven):")
-    for tag in METHOD_TAGS:
-        kind = MethodKind(tag)
-        marker = "table" if tag in TABLE_METHODS else "extra"
-        print(f"  {tag:<11}  claimed order {claimed_order(kind)}  [{marker}]")
+    for tag, method in METHODS.items():
+        marker = "table" if method.in_tables else "extra"
+        print(f"  {tag:<11}  claimed order {method.order}  [{marker}]")
     print()
     print("built-in functions:")
     for name in FUNCTION_NAMES:

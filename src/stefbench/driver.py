@@ -10,6 +10,8 @@ reports. Statuses:
     denominator_breakdown    a kernel denominator fell below the floor
     diverged                 |x_n| exceeded the divergence bound
     domain_error             f was evaluated outside its domain
+
+The last two keep the error's message in ``IterationTrace.detail``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 from .errors import BreakdownError, DomainError, RefinementError
 from .functions import CountingFunction
-from .methods import MethodKind, mkdf_step
+from .methods import MethodKind
 from .precision import PrecisionContext
 
 CONVERGED = "converged"
@@ -52,6 +54,7 @@ class IterationTrace:
     iterates: list = field(default_factory=list)
     status: str = ""
     f_call_total: int = 0
+    detail: str | None = None  # the breakdown or domain-error message
 
     @property
     def final(self) -> TraceEntry:
@@ -75,7 +78,10 @@ def solve(
     ctx: PrecisionContext,
     reference_root=None,
 ) -> IterationTrace:
-    """Run ``method`` from ``x0`` per the termination rules of ``cfg``."""
+    """Run ``method`` from ``x0`` per the termination rules of ``cfg``.
+
+    An invalid ``cfg`` or a non-finite ``x0`` raises ``ValueError``.
+    """
     kind = MethodKind(method) if isinstance(method, str) else method
     stepper = kind.stepper()
 
@@ -84,8 +90,13 @@ def solve(
     if cfg.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     tol = ctx.convergence_floor if cfg.f_tolerance is None else ctx.mpf(cfg.f_tolerance)
+    if not ctx.mp.isfinite(tol):
+        raise ValueError(f"f_tolerance must be finite, got {cfg.f_tolerance}")
     if tol < ctx.convergence_floor:
         raise ValueError("f_tolerance must not be below ctx.convergence_floor")
+    x = ctx.mpf(x0)
+    if not ctx.mp.isfinite(x):
+        raise ValueError(f"x0 must be finite, got {x0}")
     bound = ctx.mpf("1e10") if cfg.divergence_bound is None else ctx.mpf(cfg.divergence_bound)
 
     fixed = cfg.fixed_iterations
@@ -102,48 +113,27 @@ def solve(
         return TraceEntry(n, x, fx, e)
 
     trace = IterationTrace()
-    x = ctx.mpf(x0)
     try:
         fx = counted(x, ctx)
-    except DomainError:
-        trace.status = DOMAIN_ERROR
-        trace.f_call_total = counted.calls
-        return trace
-    trace.iterates.append(entry(0, x, fx))
-
-    if abs(fx) <= stop_floor:
-        trace.status = CONVERGED
-        trace.f_call_total = counted.calls
-        return trace
-
-    steps = fixed if fixed is not None else cfg.max_iterations
-    status = None
-    for n in range(1, steps + 1):
-        try:
-            outcome = stepper(counted, x, ctx)
-        except BreakdownError:
-            status = DENOMINATOR_BREAKDOWN
-            break
-        except DomainError:
-            status = DOMAIN_ERROR
-            break
-        x = outcome.next
-        try:
+        trace.iterates.append(entry(0, x, fx))
+        for n in range(1, (fixed or cfg.max_iterations) + 1):
+            if abs(fx) <= stop_floor:
+                break
+            x = stepper(counted, x, ctx).next
             fx = counted(x, ctx)
-        except DomainError:
-            status = DOMAIN_ERROR
-            break
-        trace.iterates.append(entry(n, x, fx))
-        if abs(x) > bound:
-            status = DIVERGED
-            break
-        if abs(fx) <= stop_floor:
-            status = CONVERGED
-            break
-    if status is None:
-        status = FIXED_COUNT_COMPLETED if fixed is not None else MAX_ITERATIONS_REACHED
-
-    trace.status = status
+            trace.iterates.append(entry(n, x, fx))
+            if abs(x) > bound:
+                trace.status = DIVERGED
+                break
+        if not trace.status:
+            if abs(fx) <= stop_floor:
+                trace.status = CONVERGED
+            else:
+                trace.status = FIXED_COUNT_COMPLETED if fixed else MAX_ITERATIONS_REACHED
+    except BreakdownError as exc:
+        trace.status, trace.detail = DENOMINATOR_BREAKDOWN, str(exc)
+    except DomainError as exc:
+        trace.status, trace.detail = DOMAIN_ERROR, str(exc)
     trace.f_call_total = counted.calls
     return trace
 
@@ -155,23 +145,8 @@ def refine_root(f, seed, ctx: PrecisionContext):
     working precision, so every e_n in this package is measured against a
     refined root, never against the printed seed.
     """
-    x = ctx.mpf(seed)
-    for _ in range(60):
-        try:
-            fx = f(x, ctx)
-        except DomainError as exc:
-            raise RefinementError(f"f undefined during refinement: {exc}") from exc
-        if abs(fx) <= ctx.convergence_floor:
-            return x
-        try:
-            x = mkdf_step(f, x, ctx).next
-        except (BreakdownError, DomainError) as exc:
-            raise RefinementError(f"refinement step failed: {exc}") from exc
-    try:
-        if abs(f(x, ctx)) <= ctx.convergence_floor:
-            return x
-    except DomainError:
-        pass
-    raise RefinementError(
-        f"no residual below the convergence floor within 60 iterations from {seed}"
-    )
+    trace = solve("mkdf", f, seed, SolveConfig(max_iterations=60), ctx)
+    if trace.status != CONVERGED:
+        why = f": {trace.detail}" if trace.detail else ""
+        raise RefinementError(f"refinement from {seed} ended {trace.status}{why}")
+    return trace.final.x

@@ -1,4 +1,4 @@
-"""One-step iteration kernels.
+"""One-step iteration kernels and the registry that describes them.
 
 Every kernel is a pure function ``(f, x, ctx) -> StepOutcome`` taking f as
 a callable ``f(x, ctx)``. Denominators are checked against
@@ -20,71 +20,56 @@ s = D / (2 f(x)) exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
+from mpmath import isfinite
 
 from .errors import BreakdownError
 from .jets import jet_eval
 from .precision import PrecisionContext
 
-METHOD_TAGS = (
-    "steffensen",
-    "jain",
-    "dehghan1",
-    "dehghan2",
-    "dehghan3",
-    "cordero",
-    "mkdf",
-    "kou",
-    "kou_fd",
-)
-
-# Methods appearing in the reference tables, in table row order.
-TABLE_METHODS = (
-    "steffensen",
-    "jain",
-    "dehghan1",
-    "dehghan2",
-    "dehghan3",
-    "cordero",
-    "mkdf",
-)
+# The kou parameter at which kou is mkdf, and kou's default.
+MKDF_THETA = -1
 
 
 @dataclass(frozen=True)
 class StepOutcome:
     next: object
     aux: object | None
-    evaluations: int
 
 
 @dataclass(frozen=True)
 class MethodKind:
-    """A method identifier; ``theta`` only applies to the kou family."""
+    """A method identifier; ``theta`` only applies to the kou family.
+
+    kou's theta defaults to :data:`MKDF_THETA`; every other method keeps
+    ``theta`` None.
+    """
 
     tag: str
     theta: object = None
 
     def __post_init__(self):
-        if self.tag not in METHOD_TAGS:
-            known = ", ".join(METHOD_TAGS)
+        if self.tag not in METHODS:
+            known = ", ".join(METHODS)
             raise ValueError(f"unknown method {self.tag!r} (known: {known})")
+        if self.tag != "kou":
+            if self.theta is not None:
+                raise ValueError(f"theta only applies to kou, not {self.tag!r}")
+            return
+        theta = MKDF_THETA if self.theta is None else self.theta
+        if not isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        object.__setattr__(self, "theta", theta)
 
     def stepper(self):
         """Bind this kind to a ``(f, x, ctx) -> StepOutcome`` callable."""
-        if self.tag == "kou":
-            theta = -1 if self.theta is None else self.theta
-
-            def kou_with_jet_slope(f, x, ctx):
-                slope = jet_eval(f, x, 1, ctx).coeffs[1]
-                return kou_step(f, x, theta, slope, ctx)
-
-            return kou_with_jet_slope
-        return _STEPPERS[self.tag]
+        step = METHODS[self.tag].step
+        return step if self.theta is None else partial(step, theta=self.theta)
 
     def label(self) -> str:
-        if self.tag == "kou":
-            theta = -1 if self.theta is None else self.theta
-            return f"kou(theta={theta})"
-        return self.tag
+        return self.tag if self.theta is None else f"{self.tag}(theta={self.theta})"
 
 
 def _check_denominator(value, what: str, ctx: PrecisionContext):
@@ -96,54 +81,60 @@ def _check_denominator(value, what: str, ctx: PrecisionContext):
     return value
 
 
-def central_diff_slope(f, x, ctx: PrecisionContext):
-    """[f(x + f(x)) - f(x - f(x))] / (2 f(x)), exactly as written.
+def _forward_difference(f, x, fx, ctx: PrecisionContext):
+    return _check_denominator(f(x + fx, ctx) - fx, "f(x+f(x)) - f(x)", ctx)
 
-    No step-size heuristics: the offset is f(x) itself. The caller is
-    expected to have checked that |f(x)| is above the convergence floor.
-    """
-    fx = f(x, ctx)
-    d = f(x + fx, ctx) - f(x - fx, ctx)
-    _check_denominator(d, "f(x+f(x)) - f(x-f(x))", ctx)
+
+def _central_difference(f, x, fx, ctx: PrecisionContext):
+    return _check_denominator(f(x + fx, ctx) - f(x - fx, ctx), "f(x+f(x)) - f(x-f(x))", ctx)
+
+
+def _central_slope(f, x, fx, ctx: PrecisionContext):
+    d = _central_difference(f, x, fx, ctx)
     # 2*fx cannot be near zero when d passed the floor check, but a zero
     # residual would still divide by zero; guard it the same way.
     _check_denominator(fx, "f(x)", ctx)
     return d / (2 * fx)
 
 
+def central_diff_slope(f, x, ctx: PrecisionContext):
+    """[f(x + f(x)) - f(x - f(x))] / (2 f(x)), exactly as written.
+
+    No step-size heuristics: the offset is f(x) itself. The caller is
+    expected to have checked that |f(x)| is above the convergence floor.
+    """
+    return _central_slope(f, x, f(x, ctx), ctx)
+
+
 def steffensen_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     fx = f(x, ctx)
-    d = f(x + fx, ctx) - fx
-    _check_denominator(d, "f(x+f(x)) - f(x)", ctx)
-    return StepOutcome(x - fx**2 / d, None, 2)
+    d = _forward_difference(f, x, fx, ctx)
+    return StepOutcome(x - fx**2 / d, None)
 
 
 def jain_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     fx = f(x, ctx)
-    d = f(x + fx, ctx) - fx
-    _check_denominator(d, "f(x+f(x)) - f(x)", ctx)
+    d = _forward_difference(f, x, fx, ctx)
     y = x - fx**2 / d
     fy = f(y, ctx)
     _check_denominator(fx - fy, "f(x) - f(y)", ctx)
-    return StepOutcome(x - fx**3 / (d * (fx - fy)), y, 3)
+    return StepOutcome(x - fx**3 / (d * (fx - fy)), y)
 
 
 def dehghan1_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     fx = f(x, ctx)
-    d = f(x + fx, ctx) - f(x - fx, ctx)
-    _check_denominator(d, "f(x+f(x)) - f(x-f(x))", ctx)
+    d = _central_difference(f, x, fx, ctx)
     y = x - 2 * fx**2 / d
     fy = f(y, ctx)
-    return StepOutcome(x - 2 * fx * (fx + fy) / d, y, 4)
+    return StepOutcome(x - 2 * fx * (fx + fy) / d, y)
 
 
 def dehghan2_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     fx = f(x, ctx)
-    d = f(x + fx, ctx) - f(x - fx, ctx)
-    _check_denominator(d, "f(x+f(x)) - f(x-f(x))", ctx)
+    d = _central_difference(f, x, fx, ctx)
     y = x + 2 * fx**2 / d
     fy = f(y, ctx)
-    return StepOutcome(x - 2 * fx * (fy - fx) / d, y, 4)
+    return StepOutcome(x - 2 * fx * (fy - fx) / d, y)
 
 
 def dehghan3_step(f, x, ctx: PrecisionContext) -> StepOutcome:
@@ -156,32 +147,29 @@ def dehghan3_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     functions; it is kept verbatim so the benchmark reports that honestly.
     """
     fx = f(x, ctx)
-    fu = f(x + fx, ctx) - f(x - fx, ctx)
-    _check_denominator(fu, "f(x+f(x)) - f(x-f(x))", ctx)
+    fu = _central_difference(f, x, fx, ctx)
     y = x + 2 * fx**2 / fu
     fy = f(y, ctx)
     fv = f(y + fy, ctx) - f(y - fy, ctx)
     denom = fy * fu + fx * fv
     _check_denominator(denom, "f(y)*fu + f(x)*fv", ctx)
-    return StepOutcome(x - 2 * fx / denom, y, 6)
+    return StepOutcome(x - 2 * fx / denom, y)
 
 
 def cordero_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     fx = f(x, ctx)
-    d = f(x + fx, ctx) - f(x - fx, ctx)
-    _check_denominator(d, "f(x+f(x)) - f(x-f(x))", ctx)
-    t = 2 * fx**2 / d
+    t = 2 * fx**2 / _central_difference(f, x, fx, ctx)
     y = x - t
     fy = f(y, ctx)
     _check_denominator(2 * fy - fx, "2f(y) - f(x)", ctx)
-    return StepOutcome(x - t * (fy - fx) / (2 * fy - fx), y, 4)
+    return StepOutcome(x - t * (fy - fx) / (2 * fy - fx), y)
 
 
-def _kou_iterate(f, x, theta, s, fx, ctx: PrecisionContext):
+def _kou_iterate(f, x, theta, s, fx, ctx: PrecisionContext) -> StepOutcome:
     """Shared update for the kou family given the slope s and f(x).
 
-    Returns (y, next). Kept as a single code path so mkdf and
-    kou(theta=-1, central slope) agree to the last bit.
+    Kept as a single code path so mkdf and kou(theta=-1, central slope)
+    agree to the last bit.
     """
     y = x - fx / s
     fy = f(y, ctx)
@@ -189,64 +177,77 @@ def _kou_iterate(f, x, theta, s, fx, ctx: PrecisionContext):
     if theta != 1:
         _check_denominator(fx - fy, "f(x) - f(y)", ctx)
         nxt = nxt - (1 - theta) * fx**2 / (s * (fx - fy))
-    return y, nxt
+    return StepOutcome(nxt, y)
 
 
 def kou_step(f, x, theta, s, ctx: PrecisionContext) -> StepOutcome:
     """Kou family member with parameter theta and supplied slope s."""
     _check_denominator(s, "slope", ctx)
-    fx = f(x, ctx)
-    y, nxt = _kou_iterate(f, x, theta, s, fx, ctx)
-    return StepOutcome(nxt, y, 2)
+    return _kou_iterate(f, x, theta, s, f(x, ctx), ctx)
+
+
+def _kou_jet_step(f, x, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutcome:
+    """kou with the exact slope f'(x) from a first-order jet."""
+    return kou_step(f, x, theta, jet_eval(f, x, 1, ctx).coeffs[1], ctx)
 
 
 def kou_fd_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     """theta = -1 with the forward-difference slope [f(x+f(x)) - f(x)]/f(x)."""
     fx = f(x, ctx)
     _check_denominator(fx, "f(x)", ctx)
-    num = f(x + fx, ctx) - fx
-    _check_denominator(num, "f(x+f(x)) - f(x)", ctx)
-    s = num / fx
-    y, nxt = _kou_iterate(f, x, -1, s, fx, ctx)
-    return StepOutcome(nxt, y, 3)
+    s = _forward_difference(f, x, fx, ctx) / fx
+    return _kou_iterate(f, x, MKDF_THETA, s, fx, ctx)
 
 
 def mkdf_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     """Fourth-order derivative-free kernel: kou theta = -1 with the
     central difference quotient as slope."""
     fx = f(x, ctx)
-    d = f(x + fx, ctx) - f(x - fx, ctx)
-    _check_denominator(d, "f(x+f(x)) - f(x-f(x))", ctx)
-    _check_denominator(fx, "f(x)", ctx)
-    s = d / (2 * fx)
-    y, nxt = _kou_iterate(f, x, -1, s, fx, ctx)
-    return StepOutcome(nxt, y, 4)
+    return _kou_iterate(f, x, MKDF_THETA, _central_slope(f, x, fx, ctx), fx, ctx)
 
 
-_STEPPERS = {
-    "steffensen": steffensen_step,
-    "jain": jain_step,
-    "dehghan1": dehghan1_step,
-    "dehghan2": dehghan2_step,
-    "dehghan3": dehghan3_step,
-    "cordero": cordero_step,
-    "mkdf": mkdf_step,
-    "kou_fd": kou_fd_step,
+@dataclass(frozen=True)
+class Method:
+    """One registry entry, the one source of every per-method fact.
+
+    ``step`` is the ``(f, x, ctx) -> StepOutcome`` kernel, ``order`` the
+    claimed convergence order, ``evals`` the f-calls one step spends (jet
+    evaluations are not f-calls), and ``in_tables`` whether the reference
+    tables have a column for the method.
+    """
+
+    tag: str
+    step: Callable
+    order: int
+    evals: int
+    in_tables: bool
+
+
+# In reference-table row order; the table columns come first.
+METHODS = {
+    m.tag: m
+    for m in (
+        Method("steffensen", steffensen_step, 2, 2, True),
+        Method("jain", jain_step, 3, 3, True),
+        Method("dehghan1", dehghan1_step, 3, 4, True),
+        Method("dehghan2", dehghan2_step, 3, 4, True),
+        Method("dehghan3", dehghan3_step, 3, 6, True),
+        Method("cordero", cordero_step, 4, 4, True),
+        Method("mkdf", mkdf_step, 4, 4, True),
+        Method("kou", _kou_jet_step, 4, 2, False),
+        Method("kou_fd", kou_fd_step, 3, 3, False),
+    )
 }
+
+METHOD_TAGS = tuple(METHODS)
+TABLE_METHODS = tuple(tag for tag, m in METHODS.items() if m.in_tables)
 
 
 def claimed_order(kind: MethodKind) -> int:
-    """The convergence order each method is supposed to have."""
-    if kind.tag == "kou":
-        theta = -1 if kind.theta is None else kind.theta
-        return 4 if theta == -1 else 3
-    return {
-        "steffensen": 2,
-        "jain": 3,
-        "dehghan1": 3,
-        "dehghan2": 3,
-        "dehghan3": 3,
-        "cordero": 4,
-        "mkdf": 4,
-        "kou_fd": 3,
-    }[kind.tag]
+    """The convergence order each method is supposed to have.
+
+    kou's entry holds its order at theta = -1; every other theta loses the
+    fourth-order corrector and is third order.
+    """
+    order = METHODS[kind.tag].order
+    return order if kind.theta in (None, MKDF_THETA) else 3

@@ -26,6 +26,8 @@ class PrecisionContext:
     for a method denominator.
     ``convergence_floor`` = 2^(-0.95 * bits): residual magnitude treated
     as "at the root".
+    ``usable_floor`` = 2^(-0.8 * bits): smallest error |e_n| that still
+    carries order information.
     """
 
     def __init__(self, bits: int):
@@ -38,9 +40,11 @@ class PrecisionContext:
         mp.prec = bits
         self._mp = mp
         two = mp.mpf(2)
-        # Exact rational exponents: 0.9*bits = 9*bits/10, 0.95*bits = 19*bits/20.
+        # Exact rational exponents: 0.9*bits = 9*bits/10, 0.95*bits = 19*bits/20,
+        # 0.8*bits = 4*bits/5.
         self.breakdown_floor = two ** (-mp.mpf(9 * bits) / 10)
         self.convergence_floor = two ** (-mp.mpf(19 * bits) / 20)
+        self.usable_floor = two ** (-mp.mpf(4 * bits) / 5)
 
     @property
     def mp(self):
@@ -113,8 +117,3 @@ class PrecisionContext:
 
     def __repr__(self) -> str:
         return f"PrecisionContext(bits={self.bits})"
-
-
-def make_context(bits: int) -> PrecisionContext:
-    """Create a :class:`PrecisionContext`; ``bits`` must be >= 64."""
-    return PrecisionContext(bits)

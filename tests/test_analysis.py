@@ -14,7 +14,6 @@ from stefbench import (
     jet_eval,
     solve,
     stencil_coefficients,
-    usable_floor,
 )
 from stefbench.driver import IterationTrace, TraceEntry
 
@@ -94,7 +93,7 @@ def test_coc_requires_a_clean_consecutive_triple(ctx):
 
 
 def test_usable_floor_exponent(ctx):
-    floor = usable_floor(ctx)
+    floor = ctx.usable_floor
     log2 = ctx.mp.log(floor, 2)
     assert abs(log2 + ctx.mpf(4 * 512) / 5) < ctx.mpf("1e-20")
 

@@ -43,9 +43,11 @@ def test_solve_json_payload(capsys):
         "x0",
         "precision_bits",
         "status",
+        "detail",
         "f_call_total",
         "iterates",
     }
+    assert payload["detail"] is None
     assert payload["precision_bits"] == 512
     assert payload["f_call_total"] == 16
     assert [t["n"] for t in payload["iterates"]] == [0, 1, 2, 3]
@@ -127,6 +129,34 @@ def test_kou_with_unit_theta(capsys):
     assert rc == 0
     assert "kou(theta=1)" in out
     assert "status: converged" in out
+
+
+@pytest.mark.parametrize(
+    "method, option, value",
+    [
+        *(("mkdf", option, v) for option in ("--x0", "--tol") for v in ("nan", "inf", "-inf")),
+        *(("kou", "--theta", v) for v in ("nan", "inf", "-inf", "1e400")),
+    ],
+)
+def test_non_finite_inputs_are_usage_errors(capsys, method, option, value):
+    # --x0 and --tol are read at working precision, where 1e400 is finite;
+    # --theta is a machine number, where it overflows to inf.
+    rc = main(["solve", "--method", method, "--function", "f3", f"{option}={value}"])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_solve_reports_why_it_stopped(capsys):
+    rc = main(["solve", "--method", "mkdf", "--expr", "x^2 + 1", "--x0", "0", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert payload["status"] == "denominator_breakdown"
+    assert payload["detail"].startswith("denominator f(x+f(x)) - f(x-f(x)) fell below")
+    rc = main(["solve", "--method", "steffensen", "--expr", "ln(x)", "--x0", "0.5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[-2].startswith("status: domain_error")
+    assert lines[-1].startswith("detail: ln of non-positive value")
 
 
 def test_zero_fixed_iterations_is_a_usage_error(capsys):

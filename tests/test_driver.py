@@ -50,6 +50,19 @@ def test_breakdown_is_a_status_not_an_exception(ctx):
     assert trace.status == DENOMINATOR_BREAKDOWN
     assert len(trace.iterates) == 1
     assert trace.f_call_total == 4
+    assert trace.detail.startswith("denominator f(x+f(x)) - f(x-f(x)) fell below")
+
+
+def test_the_trace_keeps_the_domain_error_message(ctx):
+    trace = solve("steffensen", from_expression("ln(x)"), ctx.mpf("0.5"), SolveConfig(), ctx)
+    assert trace.status == DOMAIN_ERROR
+    assert trace.detail.startswith("ln of non-positive value")
+
+
+def test_clean_runs_carry_no_detail(ctx):
+    trace = solve("mkdf", BUILTINS["f3"], ctx.mpf(1), SolveConfig(), ctx)
+    assert trace.status == CONVERGED
+    assert trace.detail is None
 
 
 def test_max_iterations_reached(ctx):
@@ -155,6 +168,17 @@ def test_config_validation(ctx):
         solve("mkdf", f, ctx.mpf(1), SolveConfig(f_tolerance="1e-200"), ctx)
 
 
+@pytest.mark.parametrize(
+    "bad", [pytest.param(float(v), id=v) for v in ("nan", "inf", "-inf", "1e400")]
+)
+def test_non_finite_start_and_tolerance_are_rejected(ctx, bad):
+    f = BUILTINS["f3"]
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        solve("mkdf", f, bad, SolveConfig(), ctx)
+    with pytest.raises(ValueError, match="f_tolerance must be finite"):
+        solve("mkdf", f, ctx.mpf(1), SolveConfig(f_tolerance=bad), ctx)
+
+
 # -- trace data -------------------------------------------------------------------
 
 
@@ -228,5 +252,12 @@ def test_refined_root_agrees_with_bisection(ctx, roots):
 
 
 def test_refinement_fails_cleanly_without_a_root(ctx):
-    with pytest.raises(RefinementError):
+    with pytest.raises(RefinementError, match="ended max_iterations_reached"):
         refine_root(from_expression("x^2 + 1"), ctx.mpf(1), ctx)
+
+
+def test_refinement_error_says_why_it_stopped(ctx):
+    with pytest.raises(RefinementError, match="ended domain_error: sqrt of negative value"):
+        refine_root(from_expression("sqrt(x) - 3"), "0.1", ctx)
+    with pytest.raises(RefinementError, match="ended denominator_breakdown: denominator"):
+        refine_root(from_expression("x^2 + 1"), ctx.mpf(0), ctx)

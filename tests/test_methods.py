@@ -6,45 +6,33 @@ from fractions import Fraction
 import pytest
 
 from stefbench import BUILTINS, BreakdownError, MethodKind, claimed_order, from_expression
+from stefbench.cli import _build_parser
 from stefbench.functions import CountingFunction
 from stefbench.methods import (
     METHOD_TAGS,
+    METHODS,
     TABLE_METHODS,
     central_diff_slope,
     cordero_step,
     dehghan1_step,
     dehghan2_step,
     dehghan3_step,
-    jain_step,
     kou_fd_step,
     kou_step,
     mkdf_step,
     steffensen_step,
 )
 
-DIRECT_STEPPERS = {
-    "steffensen": steffensen_step,
-    "jain": jain_step,
-    "dehghan1": dehghan1_step,
-    "dehghan2": dehghan2_step,
-    "dehghan3": dehghan3_step,
-    "cordero": cordero_step,
-    "mkdf": mkdf_step,
-    "kou_fd": kou_fd_step,
-}
-
 
 # -- affine problems ------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "tag", ["steffensen", "jain", "dehghan1", "dehghan2", "cordero", "mkdf", "kou_fd"]
-)
+@pytest.mark.parametrize("tag", [tag for tag in METHODS if tag != "dehghan3"])
 def test_one_step_exact_on_dyadic_affine(ctx, tag):
     # f(x) = 2x - 3 from 0: slope and root are dyadic, so every kernel
     # operation is exact and the step must land on 1.5 to the last bit.
     f = from_expression("2*x - 3")
-    out = DIRECT_STEPPERS[tag](f, ctx.mpf(0), ctx)
+    out = METHODS[tag].step(f, ctx.mpf(0), ctx)
     assert out.next == ctx.mpf("1.5")
 
 
@@ -102,6 +90,8 @@ def _frac_expected(tag: str) -> Fraction:
         return x - t * (fy - fx) / (2 * fy - fx)
     if tag == "kou_fd":
         s = (_frac_f(x + fx) - fx) / fx
+    elif tag == "kou":  # the exact slope f'(x) = 2x
+        s = 2 * x
     else:  # mkdf
         s = d / (2 * fx)
     y = x - fx / s
@@ -109,10 +99,10 @@ def _frac_expected(tag: str) -> Fraction:
     return x + (fx + fy) / s - 2 * fx ** 2 / (s * (fx - fy))
 
 
-@pytest.mark.parametrize("tag", sorted(DIRECT_STEPPERS))
+@pytest.mark.parametrize("tag", sorted(METHODS))
 def test_one_step_matches_exact_rational_arithmetic(ctx, close, tag):
     f = from_expression("x^2 - 2")
-    out = DIRECT_STEPPERS[tag](f, ctx.mpf(1), ctx)
+    out = METHODS[tag].step(f, ctx.mpf(1), ctx)
     expected = _frac_expected(tag)
     as_mpf = ctx.mpf(expected.numerator) / ctx.mpf(expected.denominator)
     assert close(out.next, as_mpf, ulps=8)
@@ -130,31 +120,16 @@ def test_dehghan_intermediate_points_are_dyadic_here(ctx):
 # -- evaluation counts ----------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "tag, count",
-    [
-        ("steffensen", 2),
-        ("jain", 3),
-        ("dehghan1", 4),
-        ("dehghan2", 4),
-        ("dehghan3", 6),
-        ("cordero", 4),
-        ("mkdf", 4),
-        ("kou_fd", 3),
-    ],
-)
+@pytest.mark.parametrize("tag, count", [(m.tag, m.evals) for m in METHODS.values()])
 def test_declared_evaluation_counts_match_actual_calls(ctx, tag, count):
-    probe = from_expression("x" if tag == "dehghan3" else "cos(x) - x")
-    counter = CountingFunction(probe)
-    out = DIRECT_STEPPERS[tag](counter, ctx.mpf(1), ctx)
-    assert out.evaluations == count
+    counter = CountingFunction(BUILTINS["f3"])
+    METHODS[tag].step(counter, ctx.mpf(1), ctx)
     assert counter.calls == count
 
 
 def test_kou_with_supplied_slope_costs_two_calls(ctx):
     counter = CountingFunction(BUILTINS["f3"])
-    out = kou_step(counter, ctx.mpf(1), -1, ctx.mpf("-1.5"), ctx)
-    assert out.evaluations == 2
+    kou_step(counter, ctx.mpf(1), -1, ctx.mpf("-1.5"), ctx)
     assert counter.calls == 2
 
 
@@ -240,18 +215,8 @@ def test_method_labels():
 
 
 def test_claimed_orders():
-    expected = {
-        "steffensen": 2,
-        "jain": 3,
-        "dehghan1": 3,
-        "dehghan2": 3,
-        "dehghan3": 3,
-        "cordero": 4,
-        "mkdf": 4,
-        "kou_fd": 3,
-    }
-    for tag, order in expected.items():
-        assert claimed_order(MethodKind(tag)) == order
+    for tag, method in METHODS.items():
+        assert claimed_order(MethodKind(tag)) == method.order
     assert claimed_order(MethodKind("kou")) == 4
     assert claimed_order(MethodKind("kou", -1)) == 4
     assert claimed_order(MethodKind("kou", 2)) == 3
@@ -274,3 +239,38 @@ def test_kou_kind_stepper_uses_the_jet_slope_and_is_exact_on_affine(ctx):
     f = from_expression("2*x - 3")
     stepper = MethodKind("kou").stepper()
     assert stepper(f, ctx.mpf(0), ctx).next == ctx.mpf("1.5")
+
+
+def test_kou_theta_is_normalised_once():
+    assert MethodKind("kou") == MethodKind("kou", -1)
+    assert MethodKind("kou").theta == -1
+    assert MethodKind("mkdf").theta is None
+
+
+@pytest.mark.parametrize(
+    "theta", [pytest.param(float(v), id=v) for v in ("nan", "inf", "-inf", "1e400")]
+)
+def test_kou_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        MethodKind("kou", theta)
+
+
+def test_theta_is_rejected_outside_the_kou_family():
+    with pytest.raises(ValueError, match="theta only applies to kou"):
+        MethodKind("mkdf", -1)
+
+
+def test_the_registry_is_the_one_source_of_method_facts(ctx):
+    subcommands = _build_parser()._subparsers._group_actions[0].choices
+
+    def method_choices(command):
+        (action,) = [a for a in subcommands[command]._actions if a.dest == "method"]
+        return tuple(action.choices)
+
+    assert method_choices("solve") == method_choices("coc") == tuple(METHODS) == METHOD_TAGS
+    assert method_choices("bench") == tuple(t for t, m in METHODS.items() if m.in_tables)
+    # Every entry's declared cost holds on the path solve takes.
+    for tag, method in METHODS.items():
+        counter = CountingFunction(BUILTINS["f3"])
+        MethodKind(tag).stepper()(counter, ctx.mpf(1), ctx)
+        assert counter.calls == method.evals, tag

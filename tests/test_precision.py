@@ -2,7 +2,7 @@
 
 import pytest
 
-from stefbench import DomainError, InvalidPrecisionError, PrecisionContext, make_context
+from stefbench import DomainError, InvalidPrecisionError, PrecisionContext
 
 
 @pytest.mark.parametrize("bad", [63, 0, -512, "512", 512.0, True, None])
@@ -15,12 +15,6 @@ def test_minimum_precision_accepted():
     c = PrecisionContext(64)
     assert c.bits == 64
     assert c.mp.prec == 64
-
-
-def test_make_context_is_the_same_thing():
-    c = make_context(512)
-    assert isinstance(c, PrecisionContext)
-    assert c.bits == 512
 
 
 def test_floors_exact_when_exponents_are_integers():

@@ -178,7 +178,7 @@ def _dehghan3_variant_step(f, x, ctx):
     y = x - 2 * fx**2 / fu
     fy = f(y, ctx)
     fv = f(y + fy, ctx) - f(y - fy, ctx)
-    return StepOutcome(x - 4 * fx**2 * fy / (fy * fu + fx * fv), y, 6)
+    return StepOutcome(x - 4 * fx**2 * fy / (fy * fu + fx * fv), y)
 
 
 def _printed_replays(step, tag, ctx):
