@@ -141,6 +141,7 @@ def cmd_solve(args) -> int:
             "status": trace.status,
             "detail": trace.detail,
             "f_call_total": trace.f_call_total,
+            "jet_call_total": trace.jet_call_total,
             "iterates": [
                 {"n": t.n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)}
                 for t in trace.iterates
@@ -158,7 +159,8 @@ def cmd_solve(args) -> int:
         for t in trace.iterates:
             print(f"{t.n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
         steps = len(trace.iterates) - 1
-        print(f"status: {trace.status} after {steps} iterations ({trace.f_call_total} f-calls)")
+        jets = f", {trace.jet_call_total} jet calls" if trace.jet_call_total else ""
+        print(f"status: {trace.status} after {steps} iterations ({trace.f_call_total} f-calls{jets})")
         if trace.detail:
             print(f"detail: {trace.detail}")
     return 0 if trace.status in SUCCESS_STATUSES else 1
@@ -208,6 +210,8 @@ def cmd_bench(args) -> int:
         methods=args.method,
         functions=args.function,
         tolerance_orders=args.tolerance_orders,
+        # CSV has no place for the diagnostics.
+        with_diagnostics=args.output != "csv",
     )
     if not report.records:
         raise _UsageError("selection matches no reference cells")
@@ -229,8 +233,19 @@ def cmd_bench(args) -> int:
             }
             for r in report.records
         ]
+        diagnostics = [
+            {
+                "table": d.cell.table_id,
+                "method": d.cell.method,
+                "function": d.cell.function,
+                "better_counts": [[n, float(disc)] for n, disc in d.better_counts],
+                "alt_methods": [[tag, float(disc)] for tag, disc in d.alt_methods],
+            }
+            for d in report.diagnostics
+        ]
         payload = {
             "records": records,
+            "diagnostics": diagnostics,
             "matched": report.matched,
             "total": report.total,
             "match_rate": report.match_rate,

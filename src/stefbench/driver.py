@@ -11,7 +11,12 @@ reports. Statuses:
     diverged                 |x_n| exceeded the divergence bound
     domain_error             f was evaluated outside its domain
 
-The last two keep the error's message in ``IterationTrace.detail``.
+``denominator_breakdown`` and ``domain_error`` keep the error's message
+in ``IterationTrace.detail``.
+
+Each iterate's f(x_n) is evaluated once: the trace records it and the
+next step's kernel receives it, so a fixed-count run of k steps spends
+``1 + k * Method.evals`` f-calls.
 """
 
 from __future__ import annotations
@@ -54,11 +59,26 @@ class IterationTrace:
     iterates: list = field(default_factory=list)
     status: str = ""
     f_call_total: int = 0
+    jet_call_total: int = 0
     detail: str | None = None  # the breakdown or domain-error message
 
     @property
     def final(self) -> TraceEntry:
         return self.iterates[-1]
+
+    def status_at(self, n: int) -> str:
+        """The status a fixed-count run of ``n`` steps ends with.
+
+        ``self`` must be a fixed-count run of at least ``n`` steps from the
+        same start; the shorter run is a prefix of it. A stop at or before
+        step n (floor, breakdown, domain error, divergence) ends both runs
+        alike. A run that got past x_n, or broke down or left the domain
+        in step n + 1, completed x_n.
+        """
+        steps = len(self.iterates) - 1
+        if steps > n or (steps == n and self.status in (DENOMINATOR_BREAKDOWN, DOMAIN_ERROR)):
+            return FIXED_COUNT_COMPLETED
+        return self.status
 
     def residuals(self):
         return [abs(entry.fx) for entry in self.iterates]
@@ -119,7 +139,7 @@ def solve(
         for n in range(1, (fixed or cfg.max_iterations) + 1):
             if abs(fx) <= stop_floor:
                 break
-            x = stepper(counted, x, ctx).next
+            x = stepper(counted, x, fx, ctx).next
             fx = counted(x, ctx)
             trace.iterates.append(entry(n, x, fx))
             if abs(x) > bound:
@@ -135,6 +155,7 @@ def solve(
     except DomainError as exc:
         trace.status, trace.detail = DOMAIN_ERROR, str(exc)
     trace.f_call_total = counted.calls
+    trace.jet_call_total = counted.jet_calls
     return trace
 
 

@@ -39,20 +39,25 @@ class ScalarFunction:
 
 
 class CountingFunction:
-    """Wraps a function and counts scalar evaluations.
+    """Wraps a function and counts scalar and jet evaluations apart.
 
-    Jet evaluations are deliberately not counted: the count models
-    f-calls of the iteration formulas, and slopes obtained from a jet
-    are a separate derivative estimate.
+    ``calls`` models the f-calls of the iteration formulas; ``jet_calls``
+    counts the Taylor-jet evaluations a slope such as kou's f'(x) costs,
+    which are a separate derivative estimate and not f-calls.
     """
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
+        self.jet_calls = 0
 
     def __call__(self, x, ctx):
         self.calls += 1
         return self.fn(x, ctx)
+
+    def eval_jet(self, p, order: int, ctx):
+        self.jet_calls += 1
+        return self.fn.eval_jet(p, order, ctx)
 
     def __getattr__(self, name):
         return getattr(self.fn, name)

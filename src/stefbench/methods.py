@@ -1,10 +1,12 @@
 """One-step iteration kernels and the registry that describes them.
 
-Every kernel is a pure function ``(f, x, ctx) -> StepOutcome`` taking f as
-a callable ``f(x, ctx)``. Denominators are checked against
-``ctx.breakdown_floor`` and raise :class:`BreakdownError` when too small;
-no kernel falls back to a different formula, so a benchmark run shows
-exactly where each printed method fails.
+Every kernel is a pure function ``(f, x, fx, ctx) -> StepOutcome`` taking
+f as a callable ``f(x, ctx)`` and ``fx = f(x, ctx)``, which the driver has
+already evaluated for the trace, so a kernel never evaluates f at x
+itself. Denominators are checked against ``ctx.breakdown_floor`` and
+raise :class:`BreakdownError` when too small; no kernel falls back to a
+different formula, so a benchmark run shows exactly where each printed
+method fails.
 
 The difference ``D = f(x + f(x)) - f(x - f(x))`` that appears twice in the
 two-line methods is computed once and reused, which changes nothing
@@ -64,7 +66,7 @@ class MethodKind:
         object.__setattr__(self, "theta", theta)
 
     def stepper(self):
-        """Bind this kind to a ``(f, x, ctx) -> StepOutcome`` callable."""
+        """Bind this kind to a ``(f, x, fx, ctx) -> StepOutcome`` callable."""
         step = METHODS[self.tag].step
         return step if self.theta is None else partial(step, theta=self.theta)
 
@@ -106,14 +108,12 @@ def central_diff_slope(f, x, ctx: PrecisionContext):
     return _central_slope(f, x, f(x, ctx), ctx)
 
 
-def steffensen_step(f, x, ctx: PrecisionContext) -> StepOutcome:
-    fx = f(x, ctx)
+def steffensen_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     d = _forward_difference(f, x, fx, ctx)
     return StepOutcome(x - fx**2 / d, None)
 
 
-def jain_step(f, x, ctx: PrecisionContext) -> StepOutcome:
-    fx = f(x, ctx)
+def jain_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     d = _forward_difference(f, x, fx, ctx)
     y = x - fx**2 / d
     fy = f(y, ctx)
@@ -121,23 +121,21 @@ def jain_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     return StepOutcome(x - fx**3 / (d * (fx - fy)), y)
 
 
-def dehghan1_step(f, x, ctx: PrecisionContext) -> StepOutcome:
-    fx = f(x, ctx)
+def dehghan1_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     d = _central_difference(f, x, fx, ctx)
     y = x - 2 * fx**2 / d
     fy = f(y, ctx)
     return StepOutcome(x - 2 * fx * (fx + fy) / d, y)
 
 
-def dehghan2_step(f, x, ctx: PrecisionContext) -> StepOutcome:
-    fx = f(x, ctx)
+def dehghan2_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     d = _central_difference(f, x, fx, ctx)
     y = x + 2 * fx**2 / d
     fy = f(y, ctx)
     return StepOutcome(x - 2 * fx * (fy - fx) / d, y)
 
 
-def dehghan3_step(f, x, ctx: PrecisionContext) -> StepOutcome:
+def dehghan3_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     """The three-step variant exactly as printed.
 
     x' = x - 2 f(x) / [f(y) fu + f(x) fv] with fu, fv the symmetric
@@ -146,7 +144,6 @@ def dehghan3_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     yields 3/4, not the root), and it does not converge on the built-in
     functions; it is kept verbatim so the benchmark reports that honestly.
     """
-    fx = f(x, ctx)
     fu = _central_difference(f, x, fx, ctx)
     y = x + 2 * fx**2 / fu
     fy = f(y, ctx)
@@ -156,8 +153,7 @@ def dehghan3_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     return StepOutcome(x - 2 * fx / denom, y)
 
 
-def cordero_step(f, x, ctx: PrecisionContext) -> StepOutcome:
-    fx = f(x, ctx)
+def cordero_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     t = 2 * fx**2 / _central_difference(f, x, fx, ctx)
     y = x - t
     fy = f(y, ctx)
@@ -165,7 +161,7 @@ def cordero_step(f, x, ctx: PrecisionContext) -> StepOutcome:
     return StepOutcome(x - t * (fy - fx) / (2 * fy - fx), y)
 
 
-def _kou_iterate(f, x, theta, s, fx, ctx: PrecisionContext) -> StepOutcome:
+def _kou_iterate(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
     """Shared update for the kou family given the slope s and f(x).
 
     Kept as a single code path so mkdf and kou(theta=-1, central slope)
@@ -180,40 +176,39 @@ def _kou_iterate(f, x, theta, s, fx, ctx: PrecisionContext) -> StepOutcome:
     return StepOutcome(nxt, y)
 
 
-def kou_step(f, x, theta, s, ctx: PrecisionContext) -> StepOutcome:
+def kou_step(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
     """Kou family member with parameter theta and supplied slope s."""
     _check_denominator(s, "slope", ctx)
-    return _kou_iterate(f, x, theta, s, f(x, ctx), ctx)
+    return _kou_iterate(f, x, fx, theta, s, ctx)
 
 
-def _kou_jet_step(f, x, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutcome:
+def _kou_jet_step(f, x, fx, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutcome:
     """kou with the exact slope f'(x) from a first-order jet."""
-    return kou_step(f, x, theta, jet_eval(f, x, 1, ctx).coeffs[1], ctx)
+    return kou_step(f, x, fx, theta, jet_eval(f, x, 1, ctx).coeffs[1], ctx)
 
 
-def kou_fd_step(f, x, ctx: PrecisionContext) -> StepOutcome:
+def kou_fd_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     """theta = -1 with the forward-difference slope [f(x+f(x)) - f(x)]/f(x)."""
-    fx = f(x, ctx)
     _check_denominator(fx, "f(x)", ctx)
     s = _forward_difference(f, x, fx, ctx) / fx
-    return _kou_iterate(f, x, MKDF_THETA, s, fx, ctx)
+    return _kou_iterate(f, x, fx, MKDF_THETA, s, ctx)
 
 
-def mkdf_step(f, x, ctx: PrecisionContext) -> StepOutcome:
+def mkdf_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     """Fourth-order derivative-free kernel: kou theta = -1 with the
     central difference quotient as slope."""
-    fx = f(x, ctx)
-    return _kou_iterate(f, x, MKDF_THETA, _central_slope(f, x, fx, ctx), fx, ctx)
+    return _kou_iterate(f, x, fx, MKDF_THETA, _central_slope(f, x, fx, ctx), ctx)
 
 
 @dataclass(frozen=True)
 class Method:
     """One registry entry, the one source of every per-method fact.
 
-    ``step`` is the ``(f, x, ctx) -> StepOutcome`` kernel, ``order`` the
-    claimed convergence order, ``evals`` the f-calls one step spends (jet
-    evaluations are not f-calls), and ``in_tables`` whether the reference
-    tables have a column for the method.
+    ``step`` is the ``(f, x, fx, ctx) -> StepOutcome`` kernel, ``order``
+    the claimed convergence order, ``evals`` the f-evaluations per step,
+    f(x_n) included (the kernel spends ``evals - 1`` of them; jet
+    evaluations are not f-evaluations), and ``in_tables`` whether the
+    reference tables have a column for the method.
     """
 
     tag: str

@@ -10,10 +10,17 @@ A cell "matches" when the computed residual is within ``tolerance_orders``
 (default 2) orders of magnitude of the reference value. That is a loose
 net on purpose: at fourth order, a last-place difference in x_2 moves
 |f(x_3)| by orders of magnitude, so exact reproduction is not a reasonable
-bar. Cells that still miss it get diagnostics: the residual is re-run at
-nearby iteration counts, and compared against the same table's other
-columns, which localizes transcription-style anomalies in the reference
-data without editing it.
+bar. Cells that still miss it get diagnostics: the residual at nearby
+iteration counts, and the same table's other columns, are compared with
+the reference value, which localizes transcription-style anomalies in the
+reference data without editing it.
+
+Each cell is solved once. With diagnostics on, that is one fixed-count
+run of ``max(iterations, 4)`` steps; a shorter fixed-count run is a
+prefix of a longer one, so the record's residual and status and the
+residuals at n = 1, 2 and 4 are all read from that one trace, and a
+sibling column is looked up among the cells already run. A sibling is
+solved only when the selection filtered its cell out.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import csv
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .driver import SolveConfig, solve
+from .driver import IterationTrace, SolveConfig, solve
 from .functions import get_function
 from .methods import TABLE_METHODS, MethodKind
 from .precision import PrecisionContext
@@ -30,6 +37,8 @@ from .precision import PrecisionContext
 _DATA_PACKAGE = "stefbench.data"
 _DATA_NAME = "reference_tables.csv"
 _METHOD_ROW_ORDER = {tag: i for i, tag in enumerate(TABLE_METHODS)}
+# The iteration counts a mismatched cell's diagnostics compare.
+_NEARBY_COUNTS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -96,11 +105,20 @@ def load_reference_cells() -> list:
     return cells
 
 
-def _final_residual(cell: ReferenceCell, iterations: int, ctx: PrecisionContext):
+def _run(cell: ReferenceCell, method: str, steps: int, ctx: PrecisionContext) -> IterationTrace:
+    """One fixed-count run of ``method`` from ``cell``'s start."""
     f = get_function(cell.function)
-    cfg = SolveConfig(fixed_iterations=iterations)
-    trace = solve(MethodKind(cell.method), f, ctx.mpf(cell.x0), cfg, ctx)
-    return abs(trace.final.fx), trace.status
+    cfg = SolveConfig(fixed_iterations=steps)
+    return solve(MethodKind(method), f, ctx.mpf(cell.x0), cfg, ctx)
+
+
+def _residual_at(trace: IterationTrace, n: int):
+    """|f(x_n)| of the n-step prefix of a fixed-count trace."""
+    return abs(trace.iterates[: n + 1][-1].fx)
+
+
+def _key(cell: ReferenceCell, method: str):
+    return cell.table_id, cell.function, cell.x0, method
 
 
 def _discrepancy(computed, paper, ctx):
@@ -124,6 +142,8 @@ def run_benchmark(
     set. Every published table uses three iterations, so ``iterations``
     only moves for experiments.
     """
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     cells = load_reference_cells()
     if tables is not None:
         wanted = set(int(t) for t in tables)
@@ -136,34 +156,38 @@ def run_benchmark(
         cells = [c for c in cells if c.function in wanted]
 
     tol = ctx.mpf(tolerance_orders)
+    counts = (iterations, *_NEARBY_COUNTS) if with_diagnostics else (iterations,)
+    steps = max(counts)
+    # |f(x_n)| for every n in ``counts``, per (table, function, x0, method).
+    residuals = {}
     records = []
     for cell in cells:
-        computed, status = _final_residual(cell, iterations, ctx)
-        disc = _discrepancy(computed, ctx.mpf(cell.paper_value), ctx)
+        trace = _run(cell, cell.method, steps, ctx)
+        own = residuals[_key(cell, cell.method)] = {n: _residual_at(trace, n) for n in counts}
+        disc = _discrepancy(own[iterations], ctx.mpf(cell.paper_value), ctx)
         match = disc is not None and abs(disc) <= tol
         records.append(
             BenchmarkRecord(
                 cell=cell,
-                computed_value=computed,
+                computed_value=own[iterations],
                 log10_discrepancy=disc,
-                status=status,
+                status=trace.status_at(iterations),
                 match=match,
             )
         )
 
     diagnostics = []
     if with_diagnostics:
-        table_residuals = {}
         for record in records:
             if record.match:
                 continue
             cell = record.cell
             paper = ctx.mpf(cell.paper_value)
             base = abs(record.log10_discrepancy) if record.log10_discrepancy is not None else None
+            own = residuals[_key(cell, cell.method)]
             better = []
-            for n in (1, 2, 4):
-                alt_computed, _ = _final_residual(cell, n, ctx)
-                alt_disc = _discrepancy(alt_computed, paper, ctx)
+            for n in _NEARBY_COUNTS:
+                alt_disc = _discrepancy(own[n], paper, ctx)
                 if alt_disc is None:
                     continue
                 if base is None or abs(alt_disc) < base:
@@ -172,11 +196,11 @@ def run_benchmark(
             for tag in TABLE_METHODS:
                 if tag == cell.method:
                     continue
-                key = (cell.table_id, tag)
-                if key not in table_residuals:
-                    sibling = ReferenceCell(cell.table_id, cell.function, tag, cell.x0, "0")
-                    table_residuals[key] = _final_residual(sibling, iterations, ctx)[0]
-                alt_disc = _discrepancy(table_residuals[key], paper, ctx)
+                key = _key(cell, tag)
+                if key not in residuals:
+                    trace = _run(cell, tag, iterations, ctx)
+                    residuals[key] = {iterations: _residual_at(trace, iterations)}
+                alt_disc = _discrepancy(residuals[key][iterations], paper, ctx)
                 if alt_disc is not None and abs(alt_disc) <= tol:
                     alts.append((tag, alt_disc))
             diagnostics.append(

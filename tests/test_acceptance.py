@@ -239,15 +239,15 @@ def test_criterion_06_affine_one_step_exactness(ctx):
             return a * x + b
 
         for step in kernels:
-            got = step(f, x0, ctx).next
+            got = step(f, x0, f(x0, ctx), ctx).next
             if got != root:
                 failures.append(f"{step.__name__} a={a} b={b} x0={x0}")
         for theta in (-1, 1, 2):
-            got = kou_step(f, x0, theta, a, ctx).next
+            got = kou_step(f, x0, f(x0, ctx), theta, a, ctx).next
             if got != root:
                 failures.append(f"kou theta={theta} a={a} b={b} x0={x0}")
         checked += 1
-    probe = dehghan3_step(lambda x, c: x, ctx.mpf(1), ctx).next
+    probe = dehghan3_step(lambda x, c: x, ctx.mpf(1), ctx.mpf(1), ctx).next
     if probe != ctx.mpf(3) / 4:
         failures.append(f"dehghan3 identity probe gave {ctx.nstr(probe, 10)}")
     ok = not failures
@@ -272,8 +272,8 @@ def test_criterion_07_mkdf_equals_kou_theta_minus_one(ctx, roots):
         x = root * (1 + delta)
         fx = f(x, ctx)
         slope = (f(x + fx, ctx) - f(x - fx, ctx)) / (2 * fx)
-        via_kou = kou_step(f, x, -1, slope, ctx)
-        via_mkdf = mkdf_step(f, x, ctx)
+        via_kou = kou_step(f, x, fx, -1, slope, ctx)
+        via_mkdf = mkdf_step(f, x, fx, ctx)
         if via_mkdf.next != via_kou.next or via_mkdf.aux != via_kou.aux:
             failures.append(f"{name} delta {ctx.nstr(delta, 5)}")
     ok = not failures

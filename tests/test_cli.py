@@ -28,7 +28,14 @@ def test_solve_text_fixed_iterations(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "0.47200e-25" in out
-    assert "status: fixed_count_completed after 3 iterations (16 f-calls)" in out
+    assert "status: fixed_count_completed after 3 iterations (13 f-calls)" in out
+
+
+def test_solve_text_counts_jet_calls_only_when_there_are_some(capsys):
+    rc = main(["solve", "--method", "kou", "--function", "f3", "--iterations", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "status: fixed_count_completed after 2 iterations (5 f-calls, 2 jet calls)" in out
 
 
 def test_solve_json_payload(capsys):
@@ -45,11 +52,13 @@ def test_solve_json_payload(capsys):
         "status",
         "detail",
         "f_call_total",
+        "jet_call_total",
         "iterates",
     }
     assert payload["detail"] is None
     assert payload["precision_bits"] == 512
-    assert payload["f_call_total"] == 16
+    assert payload["f_call_total"] == 13
+    assert payload["jet_call_total"] == 0
     assert [t["n"] for t in payload["iterates"]] == [0, 1, 2, 3]
     assert all(set(t) == {"n", "x", "fx"} for t in payload["iterates"])
 
@@ -233,7 +242,15 @@ def test_bench_json_single_cell(capsys):
     rc = main(["bench", "--table", "4", "--method", "mkdf", "--output", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert set(payload) == {"records", "matched", "total", "match_rate", "threshold"}
+    assert set(payload) == {
+        "records",
+        "diagnostics",
+        "matched",
+        "total",
+        "match_rate",
+        "threshold",
+    }
+    assert payload["diagnostics"] == []
     assert payload["matched"] == 1
     assert payload["total"] == 1
     record = payload["records"][0]
@@ -250,6 +267,41 @@ def test_bench_json_single_cell(capsys):
     }
     assert record["match"] is True
     assert record["function"] == "f3"
+
+
+def test_bench_json_carries_the_diagnostics_the_text_shows(capsys):
+    argv = ["bench", "--table", "2", "--method", "dehghan1", "--threshold", "0"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--output", "json"]) == 0
+    (diag,) = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert {k: diag[k] for k in ("table", "method", "function")} == {
+        "table": 2,
+        "method": "dehghan1",
+        "function": "f1",
+    }
+    # dehghan1 is the only method selected, so its siblings are solved for
+    # the diagnostics alone.
+    assert [n for n, _ in diag["better_counts"]] == [1, 2]
+    assert [tag for tag, _ in diag["alt_methods"]] == ["steffensen", "dehghan2"]
+    for n, dlog in diag["better_counts"]:
+        assert f"closer at {n} iterations (dlog {dlog:+.2f})" in text
+    for tag, dlog in diag["alt_methods"]:
+        assert f"agreement: {tag} computed matches this cell (dlog {dlog:+.2f})" in text
+
+
+def test_bench_csv_skips_the_diagnostics(capsys, monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["with_diagnostics"])
+        return run_benchmark(*args, **kwargs)
+
+    monkeypatch.setattr("stefbench.cli.run_benchmark", recording)
+    for output in ("csv", "json", "text"):
+        main(["bench", "--table", "2", "--output", output, "--threshold", "0"])
+    capsys.readouterr()
+    assert calls == [False, True, True]
 
 
 def test_bench_csv_round_trips_full_precision(capsys, ctx):

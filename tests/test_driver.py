@@ -35,7 +35,7 @@ def test_domain_error_during_a_step(ctx):
     trace = solve("steffensen", from_expression("ln(x)"), ctx.mpf("0.5"), SolveConfig(), ctx)
     assert trace.status == DOMAIN_ERROR
     assert len(trace.iterates) == 1
-    assert trace.f_call_total == 3
+    assert trace.f_call_total == 2
 
 
 def test_domain_error_at_the_starting_point(ctx):
@@ -49,7 +49,7 @@ def test_breakdown_is_a_status_not_an_exception(ctx):
     trace = solve("mkdf", from_expression("x^2 + 1"), ctx.mpf(0), SolveConfig(), ctx)
     assert trace.status == DENOMINATOR_BREAKDOWN
     assert len(trace.iterates) == 1
-    assert trace.f_call_total == 4
+    assert trace.f_call_total == 3
     assert trace.detail.startswith("denominator f(x+f(x)) - f(x-f(x)) fell below")
 
 
@@ -94,13 +94,13 @@ def test_fixed_mode_runs_exactly_n_steps(ctx):
     trace = solve("mkdf", BUILTINS["f1"], ctx.mpf(1), SolveConfig(fixed_iterations=3), ctx)
     assert trace.status == FIXED_COUNT_COMPLETED
     assert [t.n for t in trace.iterates] == [0, 1, 2, 3]
-    # 1 starting residual + 3 * (4 kernel calls + 1 residual).
-    assert trace.f_call_total == 16
+    # 1 starting residual + 3 steps * 4 evaluations, f(x_n) included.
+    assert trace.f_call_total == 13
 
 
 def test_fixed_mode_call_count_scales_with_the_kernel(ctx):
     trace = solve("steffensen", BUILTINS["f1"], ctx.mpf(1), SolveConfig(fixed_iterations=3), ctx)
-    assert trace.f_call_total == 10
+    assert trace.f_call_total == 7
 
 
 def test_fixed_mode_still_stops_at_the_convergence_floor(ctx):
@@ -109,6 +109,55 @@ def test_fixed_mode_still_stops_at_the_convergence_floor(ctx):
     trace = solve("mkdf", BUILTINS["f3"], ctx.mpf(1), SolveConfig(fixed_iterations=8), ctx)
     assert trace.status == CONVERGED
     assert len(trace.iterates) == 5
+
+
+def test_each_point_is_evaluated_once(ctx):
+    # The kernel receives f(x_n) from the trace instead of recomputing it,
+    # so every f-call lands on a distinct point.
+    seen = []
+
+    def f(x, c):
+        seen.append(x)
+        return BUILTINS["f1"](x, c)
+
+    solve("mkdf", f, ctx.mpf(1), SolveConfig(fixed_iterations=3), ctx)
+    assert len(seen) == len(set(seen)) == 13
+
+
+@pytest.mark.parametrize(
+    "tag, expr, x0, stop",
+    [
+        # breaks down in step 4, after x_3 was completed
+        ("mkdf", "ln(x) - 1", "1.5", DENOMINATOR_BREAKDOWN),
+        # leaves the domain in step 5, after x_4 was completed
+        ("dehghan3", "ln(x)", "5", DOMAIN_ERROR),
+        # reaches the convergence floor at step 4
+        ("mkdf", "cos(x) - x", "1", CONVERGED),
+    ],
+)
+def test_status_of_a_shorter_run_is_read_from_a_longer_one(tag, expr, x0, stop):
+    ctx = PrecisionContext(128)
+    f = from_expression(expr)
+    longer = solve(tag, f, ctx.mpf(x0), SolveConfig(fixed_iterations=6), ctx)
+    assert longer.status == stop
+    last = len(longer.iterates) - 1
+    if stop == CONVERGED:
+        assert longer.status_at(last - 1) == FIXED_COUNT_COMPLETED
+        assert longer.status_at(last) == longer.status_at(last + 1) == CONVERGED
+    else:
+        assert longer.status_at(last) == FIXED_COUNT_COMPLETED
+        assert longer.status_at(last + 1) == longer.status_at(6) == stop
+    for n in range(1, 7):
+        shorter = solve(tag, f, ctx.mpf(x0), SolveConfig(fixed_iterations=n), ctx)
+        assert longer.status_at(n) == shorter.status, n
+
+
+def test_jet_calls_are_counted_apart_from_f_calls(ctx):
+    cfg = SolveConfig(fixed_iterations=1)
+    kou = solve("kou", BUILTINS["f3"], ctx.mpf(1), cfg, ctx)
+    assert (kou.f_call_total, kou.jet_call_total) == (1 + 2, 1)
+    mkdf = solve("mkdf", BUILTINS["f3"], ctx.mpf(1), cfg, ctx)
+    assert (mkdf.f_call_total, mkdf.jet_call_total) == (1 + 4, 0)
 
 
 def test_benchmark_anchor_residuals(ctx):

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from stefbench import BUILTINS, BreakdownError, MethodKind, claimed_order, from_expression
+from stefbench import (
+    BUILTINS,
+    FIXED_COUNT_COMPLETED,
+    BreakdownError,
+    MethodKind,
+    SolveConfig,
+    claimed_order,
+    from_expression,
+    solve,
+)
 from stefbench.cli import _build_parser
 from stefbench.functions import CountingFunction
 from stefbench.methods import (
@@ -32,21 +41,24 @@ def test_one_step_exact_on_dyadic_affine(ctx, tag):
     # f(x) = 2x - 3 from 0: slope and root are dyadic, so every kernel
     # operation is exact and the step must land on 1.5 to the last bit.
     f = from_expression("2*x - 3")
-    out = METHODS[tag].step(f, ctx.mpf(0), ctx)
+    x0 = ctx.mpf(0)
+    out = METHODS[tag].step(f, x0, f(x0, ctx), ctx)
     assert out.next == ctx.mpf("1.5")
 
 
 @pytest.mark.parametrize("theta", [-1, 1, 2])
 def test_kou_one_step_exact_on_dyadic_affine(ctx, theta):
     f = from_expression("2*x - 3")
-    out = kou_step(f, ctx.mpf(0), theta, ctx.mpf(2), ctx)
+    x0 = ctx.mpf(0)
+    out = kou_step(f, x0, f(x0, ctx), theta, ctx.mpf(2), ctx)
     assert out.next == ctx.mpf("1.5")
 
 
 def test_dehghan3_identity_probe_gives_three_quarters(ctx):
     # The three-step variant as printed is not exact on affine problems;
     # its pinned behaviour is f(x) = x from 1 -> 3/4.
-    out = dehghan3_step(from_expression("x"), ctx.mpf(1), ctx)
+    f = from_expression("x")
+    out = dehghan3_step(f, ctx.mpf(1), f(ctx.mpf(1), ctx), ctx)
     assert out.next == ctx.mpf(3) / 4
 
 
@@ -102,7 +114,7 @@ def _frac_expected(tag: str) -> Fraction:
 @pytest.mark.parametrize("tag", sorted(METHODS))
 def test_one_step_matches_exact_rational_arithmetic(ctx, close, tag):
     f = from_expression("x^2 - 2")
-    out = METHODS[tag].step(f, ctx.mpf(1), ctx)
+    out = METHODS[tag].step(f, ctx.mpf(1), f(ctx.mpf(1), ctx), ctx)
     expected = _frac_expected(tag)
     as_mpf = ctx.mpf(expected.numerator) / ctx.mpf(expected.denominator)
     assert close(out.next, as_mpf, ulps=8)
@@ -113,8 +125,9 @@ def test_dehghan_intermediate_points_are_dyadic_here(ctx):
     # D = f(0) - f(2) = -4, so dehghan1's y = 1 - 2/(-4) = 3/2 and
     # dehghan2's y = 1 + 2/(-4) = 1/2, both exact.
     f = from_expression("x^2 - 2")
-    assert dehghan1_step(f, ctx.mpf(1), ctx).aux == ctx.mpf(3) / 2
-    assert dehghan2_step(f, ctx.mpf(1), ctx).aux == ctx.mpf(1) / 2
+    x0 = ctx.mpf(1)
+    assert dehghan1_step(f, x0, f(x0, ctx), ctx).aux == ctx.mpf(3) / 2
+    assert dehghan2_step(f, x0, f(x0, ctx), ctx).aux == ctx.mpf(1) / 2
 
 
 # -- evaluation counts ----------------------------------------------------
@@ -122,19 +135,24 @@ def test_dehghan_intermediate_points_are_dyadic_here(ctx):
 
 @pytest.mark.parametrize("tag, count", [(m.tag, m.evals) for m in METHODS.values()])
 def test_declared_evaluation_counts_match_actual_calls(ctx, tag, count):
-    counter = CountingFunction(BUILTINS["f3"])
-    METHODS[tag].step(counter, ctx.mpf(1), ctx)
-    assert counter.calls == count
+    # evals counts f(x_n) with the kernel's own calls, so k completed
+    # steps cost exactly one starting residual plus k * evals.
+    k = 2
+    trace = solve(tag, BUILTINS["f3"], ctx.mpf(1), SolveConfig(fixed_iterations=k), ctx)
+    assert trace.status == FIXED_COUNT_COMPLETED
+    assert trace.f_call_total == 1 + k * count
 
 
 def test_kou_with_supplied_slope_costs_two_calls(ctx):
     counter = CountingFunction(BUILTINS["f3"])
-    kou_step(counter, ctx.mpf(1), -1, ctx.mpf("-1.5"), ctx)
+    x0 = ctx.mpf(1)
+    kou_step(counter, x0, counter(x0, ctx), -1, ctx.mpf("-1.5"), ctx)
     assert counter.calls == 2
 
 
 def test_steffensen_has_no_intermediate_point(ctx):
-    assert steffensen_step(BUILTINS["f3"], ctx.mpf(1), ctx).aux is None
+    f, x0 = BUILTINS["f3"], ctx.mpf(1)
+    assert steffensen_step(f, x0, f(x0, ctx), ctx).aux is None
 
 
 # -- breakdown guards ------------------------------------------------------
@@ -145,7 +163,7 @@ def test_central_difference_breaks_down_on_even_functions_at_zero(ctx):
     f = from_expression("x^2 + 1")
     for step in (dehghan1_step, dehghan2_step, dehghan3_step, cordero_step, mkdf_step):
         with pytest.raises(BreakdownError):
-            step(f, ctx.mpf(0), ctx)
+            step(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx)
     with pytest.raises(BreakdownError):
         central_diff_slope(f, ctx.mpf(0), ctx)
 
@@ -153,16 +171,17 @@ def test_central_difference_breaks_down_on_even_functions_at_zero(ctx):
 def test_forward_difference_breaks_down_on_constants(ctx):
     f = from_expression("x - x + 1")
     with pytest.raises(BreakdownError):
-        steffensen_step(f, ctx.mpf(0), ctx)
+        steffensen_step(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx)
     with pytest.raises(BreakdownError):
-        kou_fd_step(f, ctx.mpf(0), ctx)
+        kou_fd_step(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx)
 
 
 def test_kou_rejects_tiny_slopes(ctx):
+    f, x0 = BUILTINS["f3"], ctx.mpf(1)
     with pytest.raises(BreakdownError):
-        kou_step(BUILTINS["f3"], ctx.mpf(1), -1, ctx.mpf("1e-160"), ctx)
+        kou_step(f, x0, f(x0, ctx), -1, ctx.mpf("1e-160"), ctx)
     with pytest.raises(BreakdownError):
-        kou_step(BUILTINS["f3"], ctx.mpf(1), -1, ctx.mpf(0), ctx)
+        kou_step(f, x0, f(x0, ctx), -1, ctx.mpf(0), ctx)
 
 
 # -- slope helper ----------------------------------------------------------
@@ -194,8 +213,8 @@ def test_mkdf_is_kou_theta_minus_one_with_central_slope(ctx, name):
     x = ctx.mpf(f.default_x0)
     fx = f(x, ctx)
     s = (f(x + fx, ctx) - f(x - fx, ctx)) / (2 * fx)
-    via_kou = kou_step(f, x, -1, s, ctx)
-    via_mkdf = mkdf_step(f, x, ctx)
+    via_kou = kou_step(f, x, fx, -1, s, ctx)
+    via_mkdf = mkdf_step(f, x, fx, ctx)
     assert via_mkdf.next == via_kou.next
     assert via_mkdf.aux == via_kou.aux
 
@@ -238,7 +257,7 @@ def test_table_methods_are_the_published_columns():
 def test_kou_kind_stepper_uses_the_jet_slope_and_is_exact_on_affine(ctx):
     f = from_expression("2*x - 3")
     stepper = MethodKind("kou").stepper()
-    assert stepper(f, ctx.mpf(0), ctx).next == ctx.mpf("1.5")
+    assert stepper(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx).next == ctx.mpf("1.5")
 
 
 def test_kou_theta_is_normalised_once():
@@ -272,5 +291,6 @@ def test_the_registry_is_the_one_source_of_method_facts(ctx):
     # Every entry's declared cost holds on the path solve takes.
     for tag, method in METHODS.items():
         counter = CountingFunction(BUILTINS["f3"])
-        MethodKind(tag).stepper()(counter, ctx.mpf(1), ctx)
+        x0 = ctx.mpf(1)
+        MethodKind(tag).stepper()(counter, x0, counter(x0, ctx), ctx)
         assert counter.calls == method.evals, tag

@@ -9,11 +9,14 @@ import pytest
 from stefbench import (
     BUILTINS,
     TABLE_METHODS,
+    PrecisionContext,
+    SolveConfig,
     StepOutcome,
     dehghan1_step,
     dehghan2_step,
     load_reference_cells,
     run_benchmark,
+    solve,
 )
 from stefbench.cli import format_paper
 
@@ -110,6 +113,8 @@ def test_iterations_override(ctx):
     at_three = run_benchmark(ctx, tables=[2], methods=["cordero"])
     assert at_two.records[0].match
     assert not at_three.records[0].match
+    with pytest.raises(ValueError, match="iterations must be >= 1"):
+        run_benchmark(ctx, tables=[2], iterations=0)
 
 
 def test_empty_selection_scores_nothing(ctx):
@@ -152,6 +157,68 @@ def test_diagnostics_can_be_disabled(ctx):
     assert report.diagnostics == []
 
 
+# -- one solve per cell -----------------------------------------------------------
+
+
+def test_the_full_replay_solves_each_cell_once(monkeypatch):
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr("stefbench.reference.solve", counting_solve)
+    report = run_benchmark(PrecisionContext(128))
+    assert report.diagnostics
+    assert len(calls) == report.total == 49
+
+
+def _direct(cell, method, n, ctx):
+    """|f(x_n)| and status of a run of exactly n steps."""
+    f = BUILTINS[cell.function]
+    trace = solve(method, f, ctx.mpf(cell.x0), SolveConfig(fixed_iterations=n), ctx)
+    return abs(trace.final.fx), trace.status
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [{}, {"methods": ["mkdf"]}, {"iterations": 5}],
+    ids=["all", "mkdf-without-siblings", "iterations-5"],
+)
+def test_the_replay_equals_direct_runs_of_each_count(selection):
+    # The replay reads every residual and status off one longer run per
+    # cell; each must be what a direct run of that many steps gives.
+    ctx = PrecisionContext(128)
+    iterations = selection.get("iterations", 3)
+    report = run_benchmark(ctx, **selection)
+    diagnosed = {d.cell: d for d in report.diagnostics}
+    assert diagnosed
+    for record in report.records:
+        cell = record.cell
+        assert (record.computed_value, record.status) == _direct(cell, cell.method, iterations, ctx)
+        if record.match:
+            assert cell not in diagnosed
+            continue
+        paper = ctx.mpf(cell.paper_value)
+
+        def dlog(residual):
+            return None if residual == 0 else ctx.mp.log10(residual / paper)
+
+        base = None if record.log10_discrepancy is None else abs(record.log10_discrepancy)
+        nearby = [(n, dlog(_direct(cell, cell.method, n, ctx)[0])) for n in (1, 2, 4)]
+        assert diagnosed[cell].better_counts == [
+            (n, d) for n, d in nearby if d is not None and (base is None or abs(d) < base)
+        ]
+        siblings = [
+            (tag, dlog(_direct(cell, tag, iterations, ctx)[0]))
+            for tag in TABLE_METHODS
+            if tag != cell.method
+        ]
+        assert diagnosed[cell].alt_methods == [
+            (tag, d) for tag, d in siblings if d is not None and abs(d) <= 2
+        ]
+
+
 # -- the dehghan columns ---------------------------------------------------------
 #
 # These tests pin the evidence behind the README's account of criterion 01's
@@ -162,18 +229,17 @@ def test_diagnostics_can_be_disabled(ctx):
 def _three_step_residual(step, f, x0, ctx):
     x = x0
     for _ in range(3):
-        x = step(f, x, ctx).next
+        x = step(f, x, f(x, ctx), ctx).next
     return abs(f(x, ctx))
 
 
-def _dehghan3_variant_step(f, x, ctx):
+def _dehghan3_variant_step(f, x, fx, ctx):
     """y = x - 2 f(x)^2 / fu, x' = x - 4 f(x)^2 f(y) / (f(y) fu + f(x) fv).
 
     fu and fv are the symmetric differences at x and y, as in
     ``dehghan3_step``, which runs y = x + 2 f(x)^2 / fu and
     x' = x - 2 f(x) / (f(y) fu + f(x) fv) as printed.
     """
-    fx = f(x, ctx)
     fu = f(x + fx, ctx) - f(x - fx, ctx)
     y = x - 2 * fx**2 / fu
     fy = f(y, ctx)
