@@ -13,7 +13,10 @@ significant digits, leading-zero mantissa) so runs can be eyeballed
 against the published rows; JSON and CSV carry full working precision.
 
 Exit codes: 0 success, 1 numerical failure (non-convergence, breakdown,
-benchmark below threshold), 2 usage error.
+benchmark below threshold, a root that cannot be refined or analysed,
+such as a domain error at the root in ``constant``), 2 usage error. Any
+other ``StefbenchError`` is a numerical failure; ``ValueError``,
+``InvalidPrecisionError`` and ``ParseError`` are usage errors.
 """
 
 from __future__ import annotations
@@ -26,23 +29,15 @@ import sys
 
 from .analysis import coc, error_constant
 from .driver import SUCCESS_STATUSES, SolveConfig, refine_root, solve
-from .errors import (
-    InsufficientDataError,
-    InvalidPrecisionError,
-    ParseError,
-    RefinementError,
-    SimpleRootError,
-)
+from .errors import InvalidPrecisionError, ParseError, StefbenchError
 from .functions import BUILTINS, FUNCTION_NAMES, from_expression, get_function
-from .methods import METHOD_TAGS, METHODS, TABLE_METHODS, MethodKind, claimed_order
+from .methods import METHOD_TAGS, METHODS, MKDF_THETA, TABLE_METHODS, MethodKind, claimed_order
 from .precision import PrecisionContext
-from .reference import run_benchmark
+from .reference import DEFAULT_TOLERANCE_ORDERS, run_benchmark
 
 DEFAULT_BITS = 512
-
-
-class _UsageError(Exception):
-    pass
+ANALYSIS_ITERATIONS = 6
+THETA_HELP = f"kou parameter (default {MKDF_THETA})"
 
 
 def format_paper(x, ctx) -> str:
@@ -64,23 +59,27 @@ def format_paper(x, ctx) -> str:
     return f"{sign}0.{digits:05d}e{e:+d}"
 
 
-def _env_bits() -> int:
-    raw = os.environ.get("STEFBENCH_PRECISION_BITS")
-    if raw is None:
-        return DEFAULT_BITS
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidPrecisionError(
-            f"STEFBENCH_PRECISION_BITS must be an integer, got {raw!r}"
-        ) from None
-
-
 def _context_from(args) -> PrecisionContext:
     bits = args.precision_bits
     if bits is None:
-        bits = _env_bits()
+        raw = os.environ.get("STEFBENCH_PRECISION_BITS", str(DEFAULT_BITS))
+        try:
+            bits = int(raw)
+        except ValueError:
+            raise InvalidPrecisionError(
+                f"STEFBENCH_PRECISION_BITS must be an integer, got {raw!r}"
+            ) from None
     return PrecisionContext(bits)
+
+
+def _write_csv(fields, rows) -> None:
+    """Write dict rows as CSV: ``None`` as "", bools as true/false, floats by repr."""
+    writer = csv.writer(sys.stdout)
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow(
+            [str(v).lower() if isinstance(v, bool) else v for v in map(row.get, fields)]
+        )
 
 
 def _parse_theta(text):
@@ -91,7 +90,7 @@ def _parse_theta(text):
     try:
         return float(text)
     except ValueError:
-        raise _UsageError(f"--theta must be a number, got {text!r}") from None
+        raise ValueError(f"--theta must be a number, got {text!r}") from None
 
 
 def _make_kind(args) -> MethodKind:
@@ -99,7 +98,7 @@ def _make_kind(args) -> MethodKind:
     if theta is None:
         return MethodKind(args.method)
     if args.method != "kou":
-        raise _UsageError("--theta only applies to --method kou")
+        raise ValueError("--theta only applies to --method kou")
     return MethodKind("kou", _parse_theta(theta))
 
 
@@ -114,7 +113,7 @@ def _resolve_x0(args, f) -> str:
         return args.x0
     if f.default_x0 is not None:
         return f.default_x0
-    raise _UsageError("--x0 is required when solving an --expr")
+    raise ValueError("--x0 is required when solving an --expr")
 
 
 # -- solve --------------------------------------------------------------
@@ -131,6 +130,9 @@ def cmd_solve(args) -> int:
         f_tolerance=args.tol,
     )
     trace = solve(kind, f, ctx.mpf(x0), cfg, ctx)
+    iterates = [
+        {"n": t.n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)} for t in trace.iterates
+    ]
 
     if args.fmt == "json":
         payload = {
@@ -142,17 +144,12 @@ def cmd_solve(args) -> int:
             "detail": trace.detail,
             "f_call_total": trace.f_call_total,
             "jet_call_total": trace.jet_call_total,
-            "iterates": [
-                {"n": t.n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)}
-                for t in trace.iterates
-            ],
+            "iterates": iterates,
         }
         print(json.dumps(payload, indent=2))
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "x", "fx"])
-        for t in trace.iterates:
-            writer.writerow([t.n, ctx.full_str(t.x), ctx.full_str(t.fx)])
+        # Named here, not read off the rows: a run can stop before x0 is evaluated.
+        _write_csv(("n", "x", "fx"), iterates)
     else:
         print(f"{kind.label()} on {f.name} from x0 = {x0} at {ctx.bits} bits")
         print(f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}")
@@ -214,25 +211,25 @@ def cmd_bench(args) -> int:
         with_diagnostics=args.output != "csv",
     )
     if not report.records:
-        raise _UsageError("selection matches no reference cells")
+        raise ValueError("selection matches no reference cells")
+    records = [
+        {
+            "table": r.cell.table_id,
+            "method": r.cell.method,
+            "function": r.cell.function,
+            "x0": r.cell.x0,
+            "paper_value": r.cell.paper_value,
+            "computed_value": ctx.full_str(r.computed_value),
+            "log10_discrepancy": None
+            if r.log10_discrepancy is None
+            else float(r.log10_discrepancy),
+            "status": r.status,
+            "match": r.match,
+        }
+        for r in report.records
+    ]
 
     if args.output == "json":
-        records = [
-            {
-                "table": r.cell.table_id,
-                "method": r.cell.method,
-                "function": r.cell.function,
-                "x0": r.cell.x0,
-                "paper_value": r.cell.paper_value,
-                "computed_value": ctx.full_str(r.computed_value),
-                "log10_discrepancy": None
-                if r.log10_discrepancy is None
-                else float(r.log10_discrepancy),
-                "status": r.status,
-                "match": r.match,
-            }
-            for r in report.records
-        ]
         diagnostics = [
             {
                 "table": d.cell.table_id,
@@ -253,34 +250,7 @@ def cmd_bench(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     elif args.output == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(
-            [
-                "table",
-                "method",
-                "function",
-                "x0",
-                "paper_value",
-                "computed_value",
-                "log10_discrepancy",
-                "status",
-                "match",
-            ]
-        )
-        for r in report.records:
-            writer.writerow(
-                [
-                    r.cell.table_id,
-                    r.cell.method,
-                    r.cell.function,
-                    r.cell.x0,
-                    r.cell.paper_value,
-                    ctx.full_str(r.computed_value),
-                    "" if r.log10_discrepancy is None else repr(float(r.log10_discrepancy)),
-                    r.status,
-                    "true" if r.match else "false",
-                ]
-            )
+        _write_csv(list(records[0]), records)
     else:
         _bench_text(report, args.threshold, ctx)
     return 0 if report.match_rate >= args.threshold else 1
@@ -295,14 +265,8 @@ def cmd_coc(args) -> int:
     kind = _make_kind(args)
     x0 = _resolve_x0(args, f)
     root = refine_root(f, f.reference_root, ctx)
-    trace = solve(
-        kind,
-        f,
-        ctx.mpf(x0),
-        SolveConfig(fixed_iterations=args.iterations),
-        ctx,
-        reference_root=root,
-    )
+    cfg = SolveConfig(fixed_iterations=args.iterations)
+    trace = solve(kind, f, ctx.mpf(x0), cfg, ctx, reference_root=root)
     est = coc(trace, ctx)
     print(
         f"coc for {kind.label()} on {f.name} from x0 = {x0} "
@@ -323,14 +287,8 @@ def cmd_constant(args) -> int:
     f = _resolve_function(args)
     seed = args.x0 if args.x0 is not None else (f.default_x0 or "0.1")
     root = refine_root(f, seed, ctx)
-    trace = solve(
-        MethodKind("mkdf"),
-        f,
-        ctx.mpf(seed),
-        SolveConfig(fixed_iterations=args.iterations),
-        ctx,
-        reference_root=root,
-    )
+    cfg = SolveConfig(fixed_iterations=args.iterations)
+    trace = solve(MethodKind("mkdf"), f, ctx.mpf(seed), cfg, ctx, reference_root=root)
     report = error_constant(f, ctx, trace=trace, root=root)
     print(f"error constant report for {f.name} ({f.source}), method mkdf")
     print(f"refined root = {ctx.nstr(root, 30)}")
@@ -376,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BITS",
-        help="working precision in bits (default 512, or STEFBENCH_PRECISION_BITS)",
+        help=f"working precision in bits (default {DEFAULT_BITS}, or STEFBENCH_PRECISION_BITS)",
     )
 
     parser = argparse.ArgumentParser(
@@ -393,8 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", help="starting point (default: the built-in's table value)")
     p.add_argument("--iterations", type=int, help="run exactly N steps (benchmark mode)")
     p.add_argument("--tol", help="residual tolerance (default: the convergence floor)")
-    p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--theta", help="kou parameter (default -1)")
+    p.add_argument("--max-iterations", type=int, default=SolveConfig.max_iterations)
+    p.add_argument("--theta", help=THETA_HELP)
     p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_solve)
 
@@ -406,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance-orders",
         type=float,
-        default=2.0,
+        default=DEFAULT_TOLERANCE_ORDERS,
         help="orders of magnitude within which a cell counts as matched",
     )
     p.add_argument(
@@ -421,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHOD_TAGS)
     p.add_argument("--function", required=True, choices=FUNCTION_NAMES)
     p.add_argument("--x0", help="starting point (default: the table value)")
-    p.add_argument("--iterations", type=int, default=6)
-    p.add_argument("--theta", help="kou parameter (default -1)")
+    p.add_argument("--iterations", type=int, default=ANALYSIS_ITERATIONS)
+    p.add_argument("--theta", help=THETA_HELP)
     p.set_defaults(func=cmd_coc)
 
     p = sub.add_parser("constant", parents=[shared], help="error-constant report (mkdf)")
@@ -430,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--function", choices=FUNCTION_NAMES)
     target.add_argument("--expr", help="expression in x with a root near --x0")
     p.add_argument("--x0", help="root seed (default: table value, or 0.1 for --expr)")
-    p.add_argument("--iterations", type=int, default=6)
+    p.add_argument("--iterations", type=int, default=ANALYSIS_ITERATIONS)
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("list", parents=[shared], help="enumerate methods and functions")
@@ -444,13 +402,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, InvalidPrecisionError, ParseError) as exc:
+    except (ValueError, InvalidPrecisionError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RefinementError, InsufficientDataError, SimpleRootError) as exc:
+    except StefbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

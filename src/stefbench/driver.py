@@ -8,7 +8,7 @@ reports. Statuses:
     fixed_count_completed    benchmark mode ran its exact step count
     max_iterations_reached   tolerance mode ran out of steps
     denominator_breakdown    a kernel denominator fell below the floor
-    diverged                 |x_n| exceeded the divergence bound
+    diverged                 |x_n| exceeded DIVERGENCE_BOUND
     domain_error             f was evaluated outside its domain
 
 ``denominator_breakdown`` and ``domain_error`` keep the error's message
@@ -38,13 +38,14 @@ DOMAIN_ERROR = "domain_error"
 
 SUCCESS_STATUSES = (CONVERGED, FIXED_COUNT_COMPLETED)
 
+DIVERGENCE_BOUND = 10**10
+
 
 @dataclass
 class SolveConfig:
     max_iterations: int = 100
     fixed_iterations: int | None = None
     f_tolerance: object = None  # defaults to ctx.convergence_floor
-    divergence_bound: object = None  # defaults to 1e10
 
 
 class TraceEntry(NamedTuple):
@@ -117,7 +118,7 @@ def solve(
     x = ctx.mpf(x0)
     if not ctx.mp.isfinite(x):
         raise ValueError(f"x0 must be finite, got {x0}")
-    bound = ctx.mpf("1e10") if cfg.divergence_bound is None else ctx.mpf(cfg.divergence_bound)
+    bound = ctx.mpf(DIVERGENCE_BOUND)
 
     fixed = cfg.fixed_iterations
     # In fixed mode the tolerance no longer stops the run, but a residual at

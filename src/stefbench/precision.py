@@ -98,14 +98,6 @@ class PrecisionContext:
     def fabs(self, x):
         return self._mp.fabs(x)
 
-    def log10(self, x):
-        if x <= 0:
-            raise DomainError(f"log10 of non-positive value {self.nstr(x)}")
-        return self._mp.log10(x)
-
-    def floor(self, x):
-        return self._mp.floor(x)
-
     # -- rendering -----------------------------------------------------
 
     def nstr(self, x, digits: int = 17, **kwargs) -> str:

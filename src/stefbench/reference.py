@@ -37,6 +37,7 @@ from .precision import PrecisionContext
 _DATA_PACKAGE = "stefbench.data"
 _DATA_NAME = "reference_tables.csv"
 _METHOD_ROW_ORDER = {tag: i for i, tag in enumerate(TABLE_METHODS)}
+DEFAULT_TOLERANCE_ORDERS = 2.0
 # The iteration counts a mismatched cell's diagnostics compare.
 _NEARBY_COUNTS = (1, 2, 4)
 
@@ -132,7 +133,7 @@ def run_benchmark(
     tables=None,
     methods=None,
     functions=None,
-    tolerance_orders=2.0,
+    tolerance_orders=DEFAULT_TOLERANCE_ORDERS,
     iterations: int = 3,
     with_diagnostics: bool = True,
 ) -> BenchReport:

@@ -318,6 +318,49 @@ def test_bench_csv_round_trips_full_precision(capsys, ctx):
         assert row["match"] in ("true", "false")
 
 
+def _csv_text(value):
+    # The CSV encoding of a JSON value: null is empty, bools are lower case,
+    # and numbers print as json.dumps prints them.
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _csv_and_json(capsys, argv, option):
+    rc_csv = main(argv + [option, "csv"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    rc_json = main(argv + [option, "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc_csv == rc_json == 0
+    return rows, payload
+
+
+def test_bench_csv_rows_are_the_json_records(capsys):
+    argv = ["bench", "--table", "6", "--threshold", "0"]
+    rows, payload = _csv_and_json(capsys, argv, "--output")
+    records = payload["records"]
+    assert len(records) == 7
+    assert any(r["log10_discrepancy"] is not None for r in records)
+    assert {r["match"] for r in records} == {True, False}
+    assert rows == [{k: _csv_text(v) for k, v in r.items()} for r in records]
+
+
+def test_solve_csv_rows_are_the_json_iterates(capsys):
+    argv = ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3"]
+    rows, payload = _csv_and_json(capsys, argv, "--format")
+    assert len(rows) == 4
+    assert rows == [{k: _csv_text(v) for k, v in t.items()} for t in payload["iterates"]]
+
+
+def test_solve_csv_of_an_empty_trace_is_the_header(capsys):
+    # ln is undefined at x0, so the run stops before it records an iterate.
+    rc = main(["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1", "--format", "csv"])
+    assert rc == 1
+    assert capsys.readouterr().out == "n,x,fx\r\n"
+
+
 def test_bench_full_text_verdict(capsys):
     rc = main(["bench"])
     out = capsys.readouterr().out
@@ -383,6 +426,16 @@ def test_constant_without_a_root_fails(capsys):
     rc = main(["constant", "--expr", "x^2 + 1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("expr, x0", [("abs(x - 1)", "1"), ("sqrt(x)", "0")])
+def test_constant_at_a_root_outside_the_domain_fails(capsys, expr, x0):
+    # The root refines, but the Taylor jet of f is undefined there.
+    rc = main(["constant", "--expr", expr, "--x0", x0])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
 
 
 # -- list ---------------------------------------------------------------------

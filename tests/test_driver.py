@@ -198,12 +198,6 @@ def test_far_field_start_still_converges(ctx):
     assert len(trace.iterates) == 22
 
 
-def test_custom_divergence_bound(ctx):
-    cfg = SolveConfig(divergence_bound="1e5")
-    trace = solve("steffensen", from_expression("arctan(x)"), ctx.mpf(3), cfg, ctx)
-    assert trace.status == DIVERGED
-
-
 # -- config validation ----------------------------------------------------------
 
 

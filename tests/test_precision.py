@@ -63,8 +63,6 @@ def test_domain_guards(ctx):
         ctx.ln(ctx.mpf(-1))
     with pytest.raises(DomainError):
         ctx.sqrt(ctx.mpf(-1))
-    with pytest.raises(DomainError):
-        ctx.log10(zero)
     assert ctx.sqrt(zero) == 0
     assert ctx.atan(ctx.mpf(-3)) < 0
     assert ctx.fabs(ctx.mpf(-3)) == 3
