@@ -155,7 +155,8 @@ def cmd_solve(args) -> int:
         print(f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}")
         for t in trace.iterates:
             print(f"{t.n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
-        steps = len(trace.iterates) - 1
+        # A run that stops while evaluating x0 has no iterate to count from.
+        steps = trace.final.n if trace.iterates else 0
         jets = f", {trace.jet_call_total} jet calls" if trace.jet_call_total else ""
         print(f"status: {trace.status} after {steps} iterations ({trace.f_call_total} f-calls{jets})")
         if trace.detail:

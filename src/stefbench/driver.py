@@ -81,9 +81,6 @@ class IterationTrace:
             return FIXED_COUNT_COMPLETED
         return self.status
 
-    def residuals(self):
-        return [abs(entry.fx) for entry in self.iterates]
-
     def errors(self):
         """|e_n| for every entry; requires a reference root."""
         if not self.iterates or self.iterates[0].e is None:

@@ -1,4 +1,4 @@
-"""Expression parsing and generic evaluation.
+"""Expression parsing and compilation to generic evaluators.
 
 The grammar (documented in the README as EBNF) is deliberately small:
 
@@ -14,10 +14,13 @@ operators associate left. Exponents are restricted to integer literals so
 series composition stays exact. Error positions are byte offsets from the
 start of the source text.
 
-Evaluation is generic over an "ops" adapter: :class:`HPOps` evaluates to a
-high-precision scalar, :class:`JetOps` to a :class:`~stefbench.jets.TaylorJet`.
-Either way a decimal literal is converted at working precision directly from
-its text, never through a machine float.
+An AST compiles, once per "ops" adapter, into nested closures that
+evaluate it: :class:`HPOps` evaluates to a high-precision scalar,
+:class:`JetOps` to a :class:`~stefbench.jets.TaylorJet`. Compiling converts
+each decimal literal once, at working precision directly from its text and
+never through a machine float; each call then runs the same operations in
+the same order as a walk over the tree would, so the result and any
+:class:`DomainError` message do not depend on how often it is compiled.
 """
 
 from __future__ import annotations
@@ -246,45 +249,36 @@ def unparse(node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-# -- evaluation --------------------------------------------------------------
+# -- compilation -------------------------------------------------------------
 
 
 class HPOps:
-    """Scalar evaluation adapter over a precision context."""
+    """Scalar evaluation adapter over a precision context.
+
+    The elementary functions are the context's own methods, looked up when
+    the adapter is built.
+    """
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
+        self.var = ctx.mpf
+        self.sin, self.cos, self.exp, self.ln = ctx.sin, ctx.cos, ctx.exp, ctx.ln
+        self.arctan, self.sqrt, self.abs = ctx.atan, ctx.sqrt, ctx.fabs
 
     def const(self, text: str):
         return self.ctx.mpf(text)
 
-    def var(self, x):
-        return self.ctx.mpf(x)
-
-    def sin(self, v):
-        return self.ctx.sin(v)
-
-    def cos(self, v):
-        return self.ctx.cos(v)
-
-    def exp(self, v):
-        return self.ctx.exp(v)
-
-    def ln(self, v):
-        return self.ctx.ln(v)
-
-    def arctan(self, v):
-        return self.ctx.atan(v)
-
-    def sqrt(self, v):
-        return self.ctx.sqrt(v)
-
-    def abs(self, v):
-        return self.ctx.fabs(v)
-
 
 class JetOps:
     """Taylor-jet evaluation adapter of a fixed truncation order."""
+
+    sin = staticmethod(jets.jet_sin)
+    cos = staticmethod(jets.jet_cos)
+    exp = staticmethod(jets.jet_exp)
+    ln = staticmethod(jets.jet_ln)
+    arctan = staticmethod(jets.jet_atan)
+    sqrt = staticmethod(jets.jet_sqrt)
+    abs = staticmethod(jets.jet_abs)
 
     def __init__(self, ctx: PrecisionContext, order: int):
         self.ctx = ctx
@@ -296,61 +290,71 @@ class JetOps:
     def var(self, p):
         return jets.seed_jet(p, self.order, self.ctx)
 
-    def sin(self, v):
-        return jets.jet_sin(v)
 
-    def cos(self, v):
-        return jets.jet_cos(v)
+def compile_ast(node, ops):
+    """Compile ``node`` into a function of x that evaluates it through ``ops``.
 
-    def exp(self, v):
-        return jets.jet_exp(v)
-
-    def ln(self, v):
-        return jets.jet_ln(v)
-
-    def arctan(self, v):
-        return jets.jet_atan(v)
-
-    def sqrt(self, v):
-        return jets.jet_sqrt(v)
-
-    def abs(self, v):
-        return jets.jet_abs(v)
+    The function adapts x via ``ops.var`` on every call; literals are
+    converted once, here. Operands are evaluated left before right, so
+    results and DomainError messages are those of a walk over the tree.
+    """
+    body = _compile(node, ops)
+    var = ops.var
+    return lambda x: body(var(x))
 
 
-def evaluate(node, x, ops):
-    """Evaluate ``node`` at ``x`` (already adapted via ``ops.var``)."""
+def _identity(x):
+    return x
+
+
+def _compile(node, ops):
     if isinstance(node, Const):
-        return ops.const(node.text)
+        value = ops.const(node.text)
+        return lambda x: value
     if isinstance(node, Var):
-        return x
+        return _identity
     if isinstance(node, Unary):
-        val = evaluate(node.arg, x, ops)
+        arg = _compile(node.arg, ops)
         if node.op == "neg":
-            return -val
-        try:
-            return getattr(ops, node.op)(val)
-        except DomainError as exc:
-            raise DomainError(f"{exc} in {unparse(node)!r}") from None
+            return lambda x: -arg(x)
+        fn = getattr(ops, node.op)
+
+        def unary(x):
+            val = arg(x)
+            try:
+                return fn(val)
+            except DomainError as exc:
+                raise DomainError(f"{exc} in {unparse(node)!r}") from None
+
+        return unary
     if isinstance(node, Pow):
-        base = evaluate(node.base, x, ops)
-        try:
-            return base ** node.exponent
-        except ZeroDivisionError:
-            raise DomainError(
-                f"zero raised to negative power in {unparse(node)!r}"
-            ) from None
+        base, exponent = _compile(node.base, ops), node.exponent
+
+        def power(x):
+            val = base(x)
+            try:
+                return val ** exponent
+            except ZeroDivisionError:
+                raise DomainError(
+                    f"zero raised to negative power in {unparse(node)!r}"
+                ) from None
+
+        return power
     if isinstance(node, Binary):
-        left = evaluate(node.left, x, ops)
-        right = evaluate(node.right, x, ops)
+        left, right = _compile(node.left, ops), _compile(node.right, ops)
         if node.op == "+":
-            return left + right
+            return lambda x: left(x) + right(x)
         if node.op == "-":
-            return left - right
+            return lambda x: left(x) - right(x)
         if node.op == "*":
-            return left * right
-        try:
-            return left / right
-        except ZeroDivisionError:
-            raise DomainError(f"division by zero in {unparse(node)!r}") from None
+            return lambda x: left(x) * right(x)
+
+        def divide(x):
+            num, den = left(x), right(x)
+            try:
+                return num / den
+            except ZeroDivisionError:
+                raise DomainError(f"division by zero in {unparse(node)!r}") from None
+
+        return divide
     raise TypeError(f"not an AST node: {node!r}")

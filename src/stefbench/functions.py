@@ -4,6 +4,10 @@ A :class:`ScalarFunction` bundles the AST with its metadata (a 6-decimal
 reference-root seed and the default initial guess used by the benchmark).
 It evaluates either to a high-precision scalar (``f(x, ctx)``) or to a
 Taylor jet (``f.eval_jet(p, order, ctx)``).
+
+The AST is compiled once per precision context: for the scalar path and
+for each jet order. The compiled code is stored on the context, so it
+lives exactly as long as the context does.
 """
 
 from __future__ import annotations
@@ -26,13 +30,19 @@ class ScalarFunction:
         self.reference_root = reference_root
         self.default_x0 = default_x0
 
+    def _compiled_for(self, ctx: PrecisionContext, order):
+        key = (self, order)  # order is None for the scalar path
+        run = ctx.compiled.get(key)
+        if run is None:
+            ops = expr.HPOps(ctx) if order is None else expr.JetOps(ctx, order)
+            run = ctx.compiled[key] = expr.compile_ast(self.ast, ops)
+        return run
+
     def __call__(self, x, ctx: PrecisionContext):
-        ops = expr.HPOps(ctx)
-        return expr.evaluate(self.ast, ops.var(x), ops)
+        return self._compiled_for(ctx, None)(x)
 
     def eval_jet(self, p, order: int, ctx: PrecisionContext) -> jets.TaylorJet:
-        ops = expr.JetOps(ctx, order)
-        return expr.evaluate(self.ast, ops.var(p), ops)
+        return self._compiled_for(ctx, order)(p)
 
     def __repr__(self) -> str:
         return f"ScalarFunction({self.name}: {self.source})"

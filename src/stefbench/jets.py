@@ -37,15 +37,6 @@ class TaylorJet:
     def __getitem__(self, k):
         return self.coeffs[k]
 
-    def derivative(self, k: int):
-        """k-th derivative at the expansion point: k! * coeffs[k]."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"jet of order {self.order} has no coefficient {k}")
-        fact = self.ctx.mpf(1)
-        for i in range(2, k + 1):
-            fact *= i
-        return self.coeffs[k] * fact
-
     def __repr__(self) -> str:
         shown = ", ".join(self.ctx.nstr(c, 8) for c in self.coeffs[:5])
         tail = ", ..." if len(self.coeffs) > 5 else ""

@@ -45,6 +45,9 @@ class PrecisionContext:
         self.breakdown_floor = two ** (-mp.mpf(9 * bits) / 10)
         self.convergence_floor = two ** (-mp.mpf(19 * bits) / 20)
         self.usable_floor = two ** (-mp.mpf(4 * bits) / 5)
+        # Expressions compiled for this context, filled by ScalarFunction;
+        # the code lives exactly as long as the context does.
+        self.compiled = {}
 
     @property
     def mp(self):

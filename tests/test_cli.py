@@ -354,6 +354,13 @@ def test_solve_csv_rows_are_the_json_iterates(capsys):
     assert rows == [{k: _csv_text(v) for k, v in t.items()} for t in payload["iterates"]]
 
 
+def test_solve_text_counts_no_steps_for_an_empty_trace(capsys):
+    rc = main(["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert lines[-2] == "status: domain_error after 0 iterations (1 f-calls)"
+
+
 def test_solve_csv_of_an_empty_trace_is_the_header(capsys):
     # ln is undefined at x0, so the run stops before it records an iterate.
     rc = main(["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1", "--format", "csv"])

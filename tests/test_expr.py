@@ -1,12 +1,16 @@
 """Expression grammar: parsing, error positions, unparse round-trips,
-and agreement between the scalar and jet evaluation paths."""
+agreement between the scalar and jet evaluation paths, and the compiled
+evaluator against a tree-walking oracle."""
+
+import gc
+import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from stefbench import BUILTINS, DomainError, ParseError, from_expression
-from stefbench.expr import Binary, Const, Pow, Unary, Var, parse, unparse
+from stefbench import BUILTINS, DomainError, ParseError, PrecisionContext, from_expression
+from stefbench.expr import Binary, Const, HPOps, JetOps, Pow, Unary, Var, parse, unparse
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -127,3 +131,144 @@ def _ast_strategy():
 @given(ast=_ast_strategy())
 def test_unparse_parse_round_trip_property(ast):
     assert parse(unparse(ast)) == ast
+
+
+# -- compiled evaluation against a tree walk -----------------------------------
+
+
+def evaluate(node, x, ops):
+    """Evaluate ``node`` at ``x`` (already adapted via ``ops.var``) by
+    walking the tree on every call: the reference for the compiled path."""
+    if isinstance(node, Const):
+        return ops.const(node.text)
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Unary):
+        val = evaluate(node.arg, x, ops)
+        if node.op == "neg":
+            return -val
+        try:
+            return getattr(ops, node.op)(val)
+        except DomainError as exc:
+            raise DomainError(f"{exc} in {unparse(node)!r}") from None
+    if isinstance(node, Pow):
+        base = evaluate(node.base, x, ops)
+        try:
+            return base ** node.exponent
+        except ZeroDivisionError:
+            raise DomainError(
+                f"zero raised to negative power in {unparse(node)!r}"
+            ) from None
+    if isinstance(node, Binary):
+        left = evaluate(node.left, x, ops)
+        right = evaluate(node.right, x, ops)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        try:
+            return left / right
+        except ZeroDivisionError:
+            raise DomainError(f"division by zero in {unparse(node)!r}") from None
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+class _Bounded:
+    """``ops`` whose exp, sin and cos reject arguments beyond 2^32.
+
+    mpmath reduces such arguments at a precision that grows with their
+    exponent, so nested exponentials such as exp(exp(exp(99))) would
+    run for unbounded time.
+    """
+
+    def __init__(self, ops):
+        self.ops = ops
+        self.mag = ops.ctx.mp.mag
+
+    def __getattr__(self, name):
+        fn = getattr(self.ops, name)
+        if name not in ("exp", "sin", "cos"):
+            return fn
+
+        def bounded(v):
+            if self.mag(v if isinstance(self.ops, HPOps) else v.coeffs[0]) > 32:
+                reject()
+            return fn(v)
+
+        return bounded
+
+
+def _outcome(run):
+    """The bits of a value or jet, or the message of a DomainError."""
+    try:
+        value = run()
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+    if hasattr(value, "coeffs"):
+        return tuple(c._mpf_ for c in value.coeffs)
+    return value._mpf_
+
+
+# x is given at a wider precision than either context, so the evaluators
+# must round it to working precision themselves.
+_WIDE = PrecisionContext(1024)
+
+
+@settings(max_examples=150, deadline=None)
+# Both operands fail, so only the left-first order gives the oracle's message.
+@example(ast=parse("ln(x) + sqrt(x)"), bits=64, x="-1.25")
+@example(ast=parse("ln(x) - sqrt(x)"), bits=64, x="-1.25")
+@example(ast=parse("ln(x)*sqrt(x)"), bits=64, x="-1.25")
+@example(ast=parse("ln(x)/sqrt(x)"), bits=64, x="-1.25")
+# The inner ln fails; the outer sqrt must pass its message on unchanged.
+@example(ast=parse("sqrt(ln(x))"), bits=64, x="-1.25")
+@given(
+    ast=_ast_strategy(),
+    bits=st.sampled_from([64, 512]),
+    x=st.sampled_from(["0", "0.5", "-1.25", "3", "0.1"]),
+)
+def test_compiled_evaluation_equals_the_tree_walk_bit_for_bit(ast, bits, x):
+    ctx = PrecisionContext(bits)
+    f = from_expression(unparse(ast))
+    assert f.ast == ast
+    x = _WIDE.mpf(x)
+    for ops, run in [
+        (HPOps(ctx), lambda: f(x, ctx)),
+        (JetOps(ctx, 1), lambda: f.eval_jet(x, 1, ctx)),
+        (JetOps(ctx, 4), lambda: f.eval_jet(x, 4, ctx)),
+    ]:
+        bounded = _Bounded(ops)
+        expected = _outcome(lambda: evaluate(ast, bounded.var(x), bounded))
+        assert _outcome(run) == expected
+
+
+def test_x_is_rounded_to_working_precision():
+    low = PrecisionContext(64)
+    third = PrecisionContext(1024).mpf(1) / 3
+    f = from_expression("x")
+    assert f(third, low)._mpf_ == low.mpf(third)._mpf_
+    assert f.eval_jet(third, 1, low).coeffs[0]._mpf_ == low.mpf(third)._mpf_
+
+
+def test_each_context_converts_literals_at_its_own_precision():
+    f = from_expression("0.1 + x")
+    low, high = PrecisionContext(64), PrecisionContext(512)
+    for ctx in (low, high, low, PrecisionContext(64)):
+        assert f(ctx.mpf(0), ctx)._mpf_ == ctx.mpf("0.1")._mpf_
+
+
+def test_compiled_code_does_not_keep_an_old_context_alive():
+    f = from_expression(BUILTINS["f1"].source)
+    # Both at one precision that no other test uses, so code cached by
+    # precision would be ctx1's and keep it alive.
+    ctx1, ctx2 = PrecisionContext(136), PrecisionContext(136)
+    for ctx in (ctx1, ctx2):
+        x = ctx.mpf(1)
+        f(x, ctx)
+        f.eval_jet(x, 4, ctx)
+    ref = weakref.ref(ctx1)
+    del ctx1
+    gc.collect()
+    assert ref() is None
