@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .driver import refine_root
 from .errors import InsufficientDataError, SimpleRootError
 from .jets import jet_eval
 from .precision import PrecisionContext
@@ -35,13 +34,19 @@ class ErrorConstantReport:
     agreement: object  # |last empirical ratio| / |formula_value|, or None
 
 
-def coc(trace, ctx: PrecisionContext) -> CocEstimate:
-    """Per-step computational order of convergence for a solved trace."""
+def _errors(trace) -> list:
+    """|e_n| of ``trace``; a trace without error data cannot be analysed."""
     errs = trace.errors()
     if errs is None:
         raise InsufficientDataError(
             "trace carries no error values; solve with a reference_root"
         )
+    return errs
+
+
+def coc(trace, ctx: PrecisionContext) -> CocEstimate:
+    """Per-step computational order of convergence for a solved trace."""
+    errs = _errors(trace)
     floor = ctx.usable_floor
     usable = [e > floor for e in errs]
     count = sum(usable)
@@ -80,11 +85,7 @@ def empirical_ratio(trace, order: int, ctx: PrecisionContext) -> list:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    errs = trace.errors()
-    if errs is None:
-        raise InsufficientDataError(
-            "trace carries no error values; solve with a reference_root"
-        )
+    errs = _errors(trace)
     floor = ctx.usable_floor
     return [
         errs[i + 1] / errs[i] ** order
@@ -104,18 +105,16 @@ def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorCons
     usable step. The two are reported side by side as a diagnostic; nothing
     here asserts they agree, and for the test functions they generally do
     not. The robust, asserted claim is the order itself (see coc).
+
+    The root is ``root``, else the trace's reference root; this function
+    never solves for one, so a caller without a root refines it first.
     """
+    if root is None and trace is not None:
+        root = trace.root
     if root is None:
-        if trace is not None and trace.iterates and trace.iterates[-1].e is not None:
-            last = trace.iterates[-1]
-            root = last.x - last.e
-        elif getattr(f, "reference_root", None) is not None:
-            root = refine_root(f, f.reference_root, ctx)
-        else:
-            raise ValueError(
-                "no root available: pass root=, a trace with error values, "
-                "or a function with a reference_root"
-            )
+        raise ValueError(
+            "no root available: pass root= or a trace solved with a reference_root"
+        )
     jet = jet_eval(f, root, 4, ctx)
     c1, c2, c3, c4 = jet.coeffs[1], jet.coeffs[2], jet.coeffs[3], jet.coeffs[4]
     if abs(c1) < ctx.breakdown_floor:

@@ -131,7 +131,8 @@ def cmd_solve(args) -> int:
     )
     trace = solve(kind, f, ctx.mpf(x0), cfg, ctx)
     iterates = [
-        {"n": t.n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)} for t in trace.iterates
+        {"n": n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)}
+        for n, t in enumerate(trace.iterates)
     ]
 
     if args.fmt == "json":
@@ -153,10 +154,10 @@ def cmd_solve(args) -> int:
     else:
         print(f"{kind.label()} on {f.name} from x0 = {x0} at {ctx.bits} bits")
         print(f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}")
-        for t in trace.iterates:
-            print(f"{t.n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
+        for n, t in enumerate(trace.iterates):
+            print(f"{n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
         # A run that stops while evaluating x0 has no iterate to count from.
-        steps = trace.final.n if trace.iterates else 0
+        steps = max(len(trace.iterates) - 1, 0)
         jets = f", {trace.jet_call_total} jet calls" if trace.jet_call_total else ""
         print(f"status: {trace.status} after {steps} iterations ({trace.f_call_total} f-calls{jets})")
         if trace.detail:
@@ -257,7 +258,14 @@ def cmd_bench(args) -> int:
     return 0 if report.match_rate >= args.threshold else 1
 
 
-# -- coc ----------------------------------------------------------------
+# -- coc and constant ---------------------------------------------------
+
+
+def _analysis_run(kind, f, x0, seed, iterations, ctx):
+    """Refine f's root from ``seed``, then run ``iterations`` steps from x0 against it."""
+    root = refine_root(f, seed, ctx)
+    cfg = SolveConfig(fixed_iterations=iterations)
+    return solve(kind, f, ctx.mpf(x0), cfg, ctx, reference_root=root)
 
 
 def cmd_coc(args) -> int:
@@ -265,9 +273,7 @@ def cmd_coc(args) -> int:
     f = get_function(args.function)
     kind = _make_kind(args)
     x0 = _resolve_x0(args, f)
-    root = refine_root(f, f.reference_root, ctx)
-    cfg = SolveConfig(fixed_iterations=args.iterations)
-    trace = solve(kind, f, ctx.mpf(x0), cfg, ctx, reference_root=root)
+    trace = _analysis_run(kind, f, x0, f.reference_root, args.iterations, ctx)
     est = coc(trace, ctx)
     print(
         f"coc for {kind.label()} on {f.name} from x0 = {x0} "
@@ -280,19 +286,14 @@ def cmd_coc(args) -> int:
     return 0
 
 
-# -- constant -----------------------------------------------------------
-
-
 def cmd_constant(args) -> int:
     ctx = _context_from(args)
     f = _resolve_function(args)
     seed = args.x0 if args.x0 is not None else (f.default_x0 or "0.1")
-    root = refine_root(f, seed, ctx)
-    cfg = SolveConfig(fixed_iterations=args.iterations)
-    trace = solve(MethodKind("mkdf"), f, ctx.mpf(seed), cfg, ctx, reference_root=root)
-    report = error_constant(f, ctx, trace=trace, root=root)
+    trace = _analysis_run(MethodKind("mkdf"), f, seed, seed, args.iterations, ctx)
+    report = error_constant(f, ctx, trace=trace)
     print(f"error constant report for {f.name} ({f.source}), method mkdf")
-    print(f"refined root = {ctx.nstr(root, 30)}")
+    print(f"refined root = {ctx.nstr(trace.root, 30)}")
     for k, ck in enumerate(report.c, start=1):
         print(f"  c{k} = {format_paper(ck, ctx)}")
     print(f"formula value = {format_paper(report.formula_value, ctx)}")

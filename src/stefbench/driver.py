@@ -4,8 +4,9 @@
 in the trace status so a benchmark over misbehaving methods completes and
 reports. Statuses:
 
-    converged                |f(x_n)| at or below the stop tolerance
-    fixed_count_completed    benchmark mode ran its exact step count
+    converged                |f(x_n)| at or below the tolerance; a fixed-count
+                             run takes none and stops at the convergence floor
+    fixed_count_completed    fixed-count mode ran its exact step count
     max_iterations_reached   tolerance mode ran out of steps
     denominator_breakdown    a kernel denominator fell below the floor
     diverged                 |x_n| exceeded DIVERGENCE_BOUND
@@ -14,8 +15,11 @@ reports. Statuses:
 ``denominator_breakdown`` and ``domain_error`` keep the error's message
 in ``IterationTrace.detail``.
 
-Each iterate's f(x_n) is evaluated once: the trace records it and the
-next step's kernel receives it, so a fixed-count run of k steps spends
+The trace is the one record of a run: ``iterates[n]`` holds x_n and
+f(x_n), and a run solved with a ``reference_root`` stores that root once
+on the trace, from which ``errors()`` derives |x_n - root|. Each
+iterate's f(x_n) is evaluated once: the trace records it and the next
+step's kernel receives it, so a fixed-count run of k steps spends
 ``1 + k * Method.evals`` f-calls.
 """
 
@@ -45,14 +49,12 @@ DIVERGENCE_BOUND = 10**10
 class SolveConfig:
     max_iterations: int = 100
     fixed_iterations: int | None = None
-    f_tolerance: object = None  # defaults to ctx.convergence_floor
+    f_tolerance: object = None  # tolerance mode only; defaults to ctx.convergence_floor
 
 
 class TraceEntry(NamedTuple):
-    n: int
     x: object
     fx: object
-    e: object  # x - reference_root, or None when no root is known
 
 
 @dataclass
@@ -62,6 +64,7 @@ class IterationTrace:
     f_call_total: int = 0
     jet_call_total: int = 0
     detail: str | None = None  # the breakdown or domain-error message
+    root: object = None  # the reference root, or None when none is known
 
     @property
     def final(self) -> TraceEntry:
@@ -82,10 +85,10 @@ class IterationTrace:
         return self.status
 
     def errors(self):
-        """|e_n| for every entry; requires a reference root."""
-        if not self.iterates or self.iterates[0].e is None:
+        """|x_n - root| for every entry, or None without a root or entries."""
+        if not self.iterates or self.root is None:
             return None
-        return [abs(entry.e) for entry in self.iterates]
+        return [abs(entry.x - self.root) for entry in self.iterates]
 
 
 def solve(
@@ -98,15 +101,22 @@ def solve(
 ) -> IterationTrace:
     """Run ``method`` from ``x0`` per the termination rules of ``cfg``.
 
-    An invalid ``cfg`` or a non-finite ``x0`` raises ``ValueError``.
+    An invalid ``cfg`` or a non-finite ``x0`` raises ``ValueError``; so does
+    an ``f_tolerance`` with ``fixed_iterations``, which no tolerance stops.
     """
     kind = MethodKind(method) if isinstance(method, str) else method
     stepper = kind.stepper()
 
-    if cfg.fixed_iterations is not None and cfg.fixed_iterations < 1:
+    fixed = cfg.fixed_iterations
+    if fixed is not None and fixed < 1:
         raise ValueError("fixed_iterations must be >= 1")
     if cfg.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if fixed is not None and cfg.f_tolerance is not None:
+        raise ValueError("f_tolerance does not apply to a fixed-count run")
+    # A fixed-count run takes no tolerance, but a residual at the convergence
+    # floor still stops it: differencing pure roundoff would only manufacture
+    # a breakdown.
     tol = ctx.convergence_floor if cfg.f_tolerance is None else ctx.mpf(cfg.f_tolerance)
     if not ctx.mp.isfinite(tol):
         raise ValueError(f"f_tolerance must be finite, got {cfg.f_tolerance}")
@@ -117,34 +127,22 @@ def solve(
         raise ValueError(f"x0 must be finite, got {x0}")
     bound = ctx.mpf(DIVERGENCE_BOUND)
 
-    fixed = cfg.fixed_iterations
-    # In fixed mode the tolerance no longer stops the run, but a residual at
-    # the convergence floor still does: differencing pure roundoff would only
-    # manufacture a breakdown.
-    stop_floor = ctx.convergence_floor if fixed is not None else tol
-
     counted = CountingFunction(f)
-    root = None if reference_root is None else ctx.mpf(reference_root)
-
-    def entry(n, x, fx):
-        e = None if root is None else x - root
-        return TraceEntry(n, x, fx, e)
-
-    trace = IterationTrace()
+    trace = IterationTrace(root=None if reference_root is None else ctx.mpf(reference_root))
     try:
         fx = counted(x, ctx)
-        trace.iterates.append(entry(0, x, fx))
-        for n in range(1, (fixed or cfg.max_iterations) + 1):
-            if abs(fx) <= stop_floor:
+        trace.iterates.append(TraceEntry(x, fx))
+        for _ in range(fixed or cfg.max_iterations):
+            if abs(fx) <= tol:
                 break
             x = stepper(counted, x, fx, ctx).next
             fx = counted(x, ctx)
-            trace.iterates.append(entry(n, x, fx))
+            trace.iterates.append(TraceEntry(x, fx))
             if abs(x) > bound:
                 trace.status = DIVERGED
                 break
         if not trace.status:
-            if abs(fx) <= stop_floor:
+            if abs(fx) <= tol:
                 trace.status = CONVERGED
             else:
                 trace.status = FIXED_COUNT_COMPLETED if fixed else MAX_ITERATIONS_REACHED

@@ -15,12 +15,13 @@ iteration counts, and the same table's other columns, are compared with
 the reference value, which localizes transcription-style anomalies in the
 reference data without editing it.
 
-Each cell is solved once. With diagnostics on, that is one fixed-count
-run of ``max(iterations, 4)`` steps; a shorter fixed-count run is a
-prefix of a longer one, so the record's residual and status and the
-residuals at n = 1, 2 and 4 are all read from that one trace, and a
-sibling column is looked up among the cells already run. A sibling is
-solved only when the selection filtered its cell out.
+Every published table uses ``TABLE_ITERATIONS`` = 3 steps. Each cell is
+solved once and its trace kept. With diagnostics on, that is one
+fixed-count run of 4 steps; a shorter fixed-count run is a prefix of a
+longer one, so the record's residual and status and the residuals at
+n = 1, 2 and 4 are all read from that one trace, and a sibling column is
+read from the trace of a cell already run. A sibling is solved only when
+the selection filtered its cell out.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ _DATA_PACKAGE = "stefbench.data"
 _DATA_NAME = "reference_tables.csv"
 _METHOD_ROW_ORDER = {tag: i for i, tag in enumerate(TABLE_METHODS)}
 DEFAULT_TOLERANCE_ORDERS = 2.0
+TABLE_ITERATIONS = 3
 # The iteration counts a mismatched cell's diagnostics compare.
 _NEARBY_COUNTS = (1, 2, 4)
 
@@ -134,17 +136,13 @@ def run_benchmark(
     methods=None,
     functions=None,
     tolerance_orders=DEFAULT_TOLERANCE_ORDERS,
-    iterations: int = 3,
     with_diagnostics: bool = True,
 ) -> BenchReport:
     """Replay the selected reference cells and score them.
 
     tables/methods/functions are optional collections restricting the cell
-    set. Every published table uses three iterations, so ``iterations``
-    only moves for experiments.
+    set.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     cells = load_reference_cells()
     if tables is not None:
         wanted = set(int(t) for t in tables)
@@ -157,22 +155,21 @@ def run_benchmark(
         cells = [c for c in cells if c.function in wanted]
 
     tol = ctx.mpf(tolerance_orders)
-    counts = (iterations, *_NEARBY_COUNTS) if with_diagnostics else (iterations,)
-    steps = max(counts)
-    # |f(x_n)| for every n in ``counts``, per (table, function, x0, method).
-    residuals = {}
+    steps = max(TABLE_ITERATIONS, *_NEARBY_COUNTS) if with_diagnostics else TABLE_ITERATIONS
+    # The fixed-count trace of every cell run, per (table, function, x0, method).
+    traces = {}
     records = []
     for cell in cells:
-        trace = _run(cell, cell.method, steps, ctx)
-        own = residuals[_key(cell, cell.method)] = {n: _residual_at(trace, n) for n in counts}
-        disc = _discrepancy(own[iterations], ctx.mpf(cell.paper_value), ctx)
+        trace = traces[_key(cell, cell.method)] = _run(cell, cell.method, steps, ctx)
+        computed = _residual_at(trace, TABLE_ITERATIONS)
+        disc = _discrepancy(computed, ctx.mpf(cell.paper_value), ctx)
         match = disc is not None and abs(disc) <= tol
         records.append(
             BenchmarkRecord(
                 cell=cell,
-                computed_value=own[iterations],
+                computed_value=computed,
                 log10_discrepancy=disc,
-                status=trace.status_at(iterations),
+                status=trace.status_at(TABLE_ITERATIONS),
                 match=match,
             )
         )
@@ -185,10 +182,10 @@ def run_benchmark(
             cell = record.cell
             paper = ctx.mpf(cell.paper_value)
             base = abs(record.log10_discrepancy) if record.log10_discrepancy is not None else None
-            own = residuals[_key(cell, cell.method)]
+            own = traces[_key(cell, cell.method)]
             better = []
             for n in _NEARBY_COUNTS:
-                alt_disc = _discrepancy(own[n], paper, ctx)
+                alt_disc = _discrepancy(_residual_at(own, n), paper, ctx)
                 if alt_disc is None:
                     continue
                 if base is None or abs(alt_disc) < base:
@@ -198,10 +195,9 @@ def run_benchmark(
                 if tag == cell.method:
                     continue
                 key = _key(cell, tag)
-                if key not in residuals:
-                    trace = _run(cell, tag, iterations, ctx)
-                    residuals[key] = {iterations: _residual_at(trace, iterations)}
-                alt_disc = _discrepancy(residuals[key][iterations], paper, ctx)
+                if key not in traces:
+                    traces[key] = _run(cell, tag, TABLE_ITERATIONS, ctx)
+                alt_disc = _discrepancy(_residual_at(traces[key], TABLE_ITERATIONS), paper, ctx)
                 if alt_disc is not None and abs(alt_disc) <= tol:
                     alts.append((tag, alt_disc))
             diagnostics.append(

@@ -19,10 +19,11 @@ from stefbench.driver import IterationTrace, TraceEntry
 
 
 def _trace_from_errors(ctx, errors):
-    entries = [
-        TraceEntry(n, ctx.mpf(e), ctx.mpf(e), ctx.mpf(e)) for n, e in enumerate(errors)
-    ]
-    return IterationTrace(iterates=entries, status="fixed_count_completed", f_call_total=0)
+    # Iterates x_n = e_n against the root 0.
+    entries = [TraceEntry(ctx.mpf(e), ctx.mpf(e)) for e in errors]
+    return IterationTrace(
+        iterates=entries, status="fixed_count_completed", f_call_total=0, root=0
+    )
 
 
 # -- coc ---------------------------------------------------------------------
@@ -48,11 +49,7 @@ def test_coc_is_bitwise_invariant_under_power_of_two_scaling(ctx):
     errors = ["1e-1", "1e-4", "1e-16", "1e-64"]
     base = coc(_trace_from_errors(ctx, errors), ctx)
     scale = ctx.mpf(2) ** 40
-    scaled_entries = [
-        TraceEntry(n, ctx.mpf(e), ctx.mpf(e), ctx.mpf(e) * scale)
-        for n, e in enumerate(errors)
-    ]
-    scaled = coc(IterationTrace(scaled_entries, "fixed_count_completed", 0), ctx)
+    scaled = coc(_trace_from_errors(ctx, [ctx.mpf(e) * scale for e in errors]), ctx)
     # Scaling by a power of two leaves every quotient e_{n+1}/e_n the same
     # mpf, so the estimates agree to the bit, not just approximately.
     assert scaled.per_step == base.per_step
@@ -61,10 +58,7 @@ def test_coc_is_bitwise_invariant_under_power_of_two_scaling(ctx):
 def test_coc_is_stable_under_small_integer_scaling(ctx, close):
     errors = ["1e-1", "1e-4", "1e-16", "1e-64"]
     base = coc(_trace_from_errors(ctx, errors), ctx)
-    scaled_entries = [
-        TraceEntry(n, ctx.mpf(e), ctx.mpf(e), ctx.mpf(e) * 3) for n, e in enumerate(errors)
-    ]
-    scaled = coc(IterationTrace(scaled_entries, "fixed_count_completed", 0), ctx)
+    scaled = coc(_trace_from_errors(ctx, [ctx.mpf(e) * 3 for e in errors]), ctx)
     for a, b in zip(base.per_step, scaled.per_step):
         assert close(a, b, ulps=64)
 
@@ -158,6 +152,15 @@ def test_error_constant_rejects_multiple_roots(ctx):
 def test_error_constant_needs_some_root_source(ctx):
     with pytest.raises(ValueError):
         error_constant(from_expression("x - 2"), ctx)
+    # A trace solved without a reference_root carries no root either.
+    f = BUILTINS["f3"]
+    trace = solve("mkdf", f, ctx.mpf(1), SolveConfig(fixed_iterations=3), ctx)
+    with pytest.raises(ValueError):
+        error_constant(f, ctx, trace=trace)
+    # A built-in's 6-decimal reference_root is a seed, not a root; the
+    # analysis layer does not solve for one.
+    with pytest.raises(ValueError):
+        error_constant(f, ctx)
 
 
 def test_error_constant_root_resolution(ctx, roots):
@@ -167,9 +170,7 @@ def test_error_constant_root_resolution(ctx, roots):
     )
     from_trace = error_constant(f, ctx, trace=trace)
     explicit = error_constant(f, ctx, trace=trace, root=roots["f3"])
-    fallback = error_constant(f, ctx)
     assert from_trace.c == explicit.c
-    assert fallback.c == explicit.c
     assert explicit.agreement == abs(explicit.empirical_ratios[-1]) / abs(
         explicit.formula_value
     )

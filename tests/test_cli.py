@@ -174,6 +174,17 @@ def test_zero_fixed_iterations_is_a_usage_error(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_tol_with_fixed_iterations_is_a_usage_error(capsys):
+    # |f3(x_1)| is already below 1e-3, so a silently ignored --tol would
+    # show as a third step the user asked not to run.
+    argv = ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "3", "--tol", "1e-3"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: f_tolerance does not apply to a fixed-count run\n"
+
+
 # -- precision plumbing --------------------------------------------------
 
 

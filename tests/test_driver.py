@@ -93,7 +93,7 @@ def test_starting_at_the_root_short_circuits(ctx):
 def test_fixed_mode_runs_exactly_n_steps(ctx):
     trace = solve("mkdf", BUILTINS["f1"], ctx.mpf(1), SolveConfig(fixed_iterations=3), ctx)
     assert trace.status == FIXED_COUNT_COMPLETED
-    assert [t.n for t in trace.iterates] == [0, 1, 2, 3]
+    assert len(trace.iterates) == 4
     # 1 starting residual + 3 steps * 4 evaluations, f(x_n) included.
     assert trace.f_call_total == 13
 
@@ -208,6 +208,9 @@ def test_config_validation(ctx):
         solve("mkdf", f, ctx.mpf(1), SolveConfig(max_iterations=0), ctx)
     with pytest.raises(ValueError):
         solve("mkdf", f, ctx.mpf(1), SolveConfig(f_tolerance="1e-200"), ctx)
+    # A fixed-count run has no tolerance to stop at.
+    with pytest.raises(ValueError, match="fixed-count"):
+        solve("mkdf", f, ctx.mpf(1), SolveConfig(fixed_iterations=3, f_tolerance="1e-3"), ctx)
 
 
 @pytest.mark.parametrize(

@@ -106,17 +106,6 @@ def test_match_tolerance_is_configurable(ctx):
     assert abs(loose.records[0].log10_discrepancy - 1) < ctx.mpf("0.01")
 
 
-def test_iterations_override(ctx):
-    # The cordero/f1 cell agrees with a two-iteration run, which is what
-    # the diagnostics report for it.
-    at_two = run_benchmark(ctx, tables=[2], methods=["cordero"], iterations=2)
-    at_three = run_benchmark(ctx, tables=[2], methods=["cordero"])
-    assert at_two.records[0].match
-    assert not at_three.records[0].match
-    with pytest.raises(ValueError, match="iterations must be >= 1"):
-        run_benchmark(ctx, tables=[2], iterations=0)
-
-
 def test_empty_selection_scores_nothing(ctx):
     report = run_benchmark(ctx, tables=[9])
     assert report.total == 0
@@ -182,20 +171,19 @@ def _direct(cell, method, n, ctx):
 
 @pytest.mark.parametrize(
     "selection",
-    [{}, {"methods": ["mkdf"]}, {"iterations": 5}],
-    ids=["all", "mkdf-without-siblings", "iterations-5"],
+    [{}, {"methods": ["mkdf"]}],
+    ids=["all", "mkdf-without-siblings"],
 )
 def test_the_replay_equals_direct_runs_of_each_count(selection):
     # The replay reads every residual and status off one longer run per
     # cell; each must be what a direct run of that many steps gives.
     ctx = PrecisionContext(128)
-    iterations = selection.get("iterations", 3)
     report = run_benchmark(ctx, **selection)
     diagnosed = {d.cell: d for d in report.diagnostics}
     assert diagnosed
     for record in report.records:
         cell = record.cell
-        assert (record.computed_value, record.status) == _direct(cell, cell.method, iterations, ctx)
+        assert (record.computed_value, record.status) == _direct(cell, cell.method, 3, ctx)
         if record.match:
             assert cell not in diagnosed
             continue
@@ -210,7 +198,7 @@ def test_the_replay_equals_direct_runs_of_each_count(selection):
             (n, d) for n, d in nearby if d is not None and (base is None or abs(d) < base)
         ]
         siblings = [
-            (tag, dlog(_direct(cell, tag, iterations, ctx)[0]))
+            (tag, dlog(_direct(cell, tag, 3, ctx)[0]))
             for tag in TABLE_METHODS
             if tag != cell.method
         ]
