@@ -28,7 +28,7 @@ import os
 import sys
 
 from .analysis import coc, error_constant
-from .driver import SUCCESS_STATUSES, SolveConfig, refine_root, solve
+from .driver import MAX_ITERATIONS, SUCCESS_STATUSES, SolveConfig, refine_root, solve
 from .errors import InvalidPrecisionError, ParseError, StefbenchError
 from .functions import BUILTINS, FUNCTION_NAMES, from_expression, get_function
 from .methods import METHOD_TAGS, METHODS, MKDF_THETA, TABLE_METHODS, MethodKind, claimed_order
@@ -353,7 +353,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", help="starting point (default: the built-in's table value)")
     p.add_argument("--iterations", type=int, help="run exactly N steps (benchmark mode)")
     p.add_argument("--tol", help="residual tolerance (default: the convergence floor)")
-    p.add_argument("--max-iterations", type=int, default=SolveConfig.max_iterations)
+    p.add_argument(
+        "--max-iterations",
+        type=int,
+        help=f"step limit in tolerance mode (default {MAX_ITERATIONS})",
+    )
     p.add_argument("--theta", help=THETA_HELP)
     p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_solve)

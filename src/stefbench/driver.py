@@ -25,6 +25,7 @@ step's kernel receives it, so a fixed-count run of k steps spends
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,11 +44,17 @@ DOMAIN_ERROR = "domain_error"
 SUCCESS_STATUSES = (CONVERGED, FIXED_COUNT_COMPLETED)
 
 DIVERGENCE_BOUND = 10**10
+MAX_ITERATIONS = 100  # the tolerance-mode step limit when none is given
+
+# refine_root's ladder has no rung at or below this precision: there the
+# cost of mpmath's arithmetic is mostly per-operation Python overhead, so a
+# rung's context and compiled expression would cost more than it saves.
+LADDER_FLOOR_BITS = 256
 
 
 @dataclass
 class SolveConfig:
-    max_iterations: int = 100
+    max_iterations: int | None = None  # tolerance mode only; defaults to MAX_ITERATIONS
     fixed_iterations: int | None = None
     f_tolerance: object = None  # tolerance mode only; defaults to ctx.convergence_floor
 
@@ -102,7 +109,8 @@ def solve(
     """Run ``method`` from ``x0`` per the termination rules of ``cfg``.
 
     An invalid ``cfg`` or a non-finite ``x0`` raises ``ValueError``; so does
-    an ``f_tolerance`` with ``fixed_iterations``, which no tolerance stops.
+    an ``f_tolerance`` or a ``max_iterations`` with ``fixed_iterations``,
+    which runs its own step count.
     """
     kind = MethodKind(method) if isinstance(method, str) else method
     stepper = kind.stepper()
@@ -110,10 +118,13 @@ def solve(
     fixed = cfg.fixed_iterations
     if fixed is not None and fixed < 1:
         raise ValueError("fixed_iterations must be >= 1")
-    if cfg.max_iterations < 1:
+    if cfg.max_iterations is not None and cfg.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if fixed is not None and cfg.f_tolerance is not None:
         raise ValueError("f_tolerance does not apply to a fixed-count run")
+    if fixed is not None and cfg.max_iterations is not None:
+        raise ValueError("max_iterations does not apply to a fixed-count run")
+    steps = fixed or cfg.max_iterations or MAX_ITERATIONS
     # A fixed-count run takes no tolerance, but a residual at the convergence
     # floor still stops it: differencing pure roundoff would only manufacture
     # a breakdown.
@@ -132,7 +143,7 @@ def solve(
     try:
         fx = counted(x, ctx)
         trace.iterates.append(TraceEntry(x, fx))
-        for _ in range(fixed or cfg.max_iterations):
+        for _ in range(steps):
             if abs(fx) <= tol:
                 break
             x = stepper(counted, x, fx, ctx).next
@@ -155,14 +166,52 @@ def solve(
     return trace
 
 
+def _rungs(bits: int) -> list:
+    """The precisions, ascending, that refine_root converges on below ``bits``.
+
+    Working down from ``bits``, each rung is ceil((next + 64) / 3) bits,
+    so 3r - 64 >= next: one fourth-order step from a residual near the
+    rung's breakdown floor 2^(-0.9 r) carries more than the next
+    precision's bits. Rungs stop above LADDER_FLOOR_BITS, so 2048 bits
+    gives [704], 4096 gives [484, 1387] and 512 or fewer gives none.
+    """
+    rungs = []
+    r = math.ceil((bits + 64) / 3)
+    while r > LADDER_FLOOR_BITS:
+        rungs.append(r)
+        r = math.ceil((r + 64) / 3)
+    return rungs[::-1]
+
+
 def refine_root(f, seed, ctx: PrecisionContext):
     """Polish a root seed to |f(x*)| <= ctx.convergence_floor using mkdf.
 
     Table roots are printed to 6 decimals; error analysis needs the full
     working precision, so every e_n in this package is measured against a
     refined root, never against the printed seed.
+
+    A fourth-order step needs little more precision than a quarter of the
+    bits it will get right (precision doubling; Brent & Zimmermann,
+    *Modern Computer Arithmetic*, 4.2). So mkdf first converges on each
+    rung of ``_rungs(ctx.bits)`` in turn, in tolerance mode down to the
+    rung's ``breakdown_floor``, and the full-precision solve then starts
+    from the top rung's root: it usually takes one step, and it alone
+    decides the result. Stopping each rung at its breakdown floor keeps
+    mkdf from dividing by a residual that lies between a context's two
+    floors. If any rung ends other than converged, the ladder is dropped
+    and the full-precision solve starts from ``seed``, as it always does
+    at 512 bits or fewer, where there are no rungs.
     """
-    trace = solve("mkdf", f, seed, SolveConfig(max_iterations=60), ctx)
+    start = seed
+    for bits in _rungs(ctx.bits):
+        rung = PrecisionContext(bits)
+        cfg = SolveConfig(max_iterations=60, f_tolerance=rung.breakdown_floor)
+        trace = solve("mkdf", f, start, cfg, rung)
+        if trace.status != CONVERGED:
+            start = seed
+            break
+        start = trace.final.x
+    trace = solve("mkdf", f, start, SolveConfig(max_iterations=60), ctx)
     if trace.status != CONVERGED:
         why = f": {trace.detail}" if trace.detail else ""
         raise RefinementError(f"refinement from {seed} ended {trace.status}{why}")

@@ -13,6 +13,7 @@ from stefbench import (
     run_benchmark,
 )
 from stefbench.cli import format_paper, main
+from stefbench.driver import MAX_ITERATIONS
 
 
 @pytest.fixture(autouse=True)
@@ -183,6 +184,22 @@ def test_tol_with_fixed_iterations_is_a_usage_error(capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: f_tolerance does not apply to a fixed-count run\n"
+
+
+def test_max_iterations_with_fixed_iterations_is_a_usage_error(capsys):
+    argv = ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3",
+            "--max-iterations", "1"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: max_iterations does not apply to a fixed-count run\n"
+
+
+def test_max_iterations_help_reads_the_library_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    assert f"(default {MAX_ITERATIONS})" in " ".join(capsys.readouterr().out.split())
 
 
 # -- precision plumbing --------------------------------------------------
@@ -438,6 +455,14 @@ def test_constant_on_a_builtin(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "error constant report for f1" in out
+
+
+def test_constant_refines_where_fixed_precision_broke_down(capsys):
+    # At 1792 bits a refinement at working precision alone ends in a
+    # denominator breakdown from f2's seed 0.7; the ladder converges.
+    rc = main(["constant", "--function", "f2", "--precision-bits", "1792"])
+    assert rc == 0
+    assert "refined root = 0.257530285439860760455367304937" in capsys.readouterr().out
 
 
 def test_constant_without_a_root_fails(capsys):

@@ -1,6 +1,8 @@
 """Driver behaviour: termination statuses, call accounting, trace data,
 and root refinement."""
 
+from collections import Counter
+
 import pytest
 
 from stefbench import (
@@ -9,6 +11,7 @@ from stefbench import (
     DENOMINATOR_BREAKDOWN,
     DIVERGED,
     DOMAIN_ERROR,
+    DomainError,
     FIXED_COUNT_COMPLETED,
     MAX_ITERATIONS_REACHED,
     MethodKind,
@@ -18,6 +21,7 @@ from stefbench import (
     refine_root,
     solve,
 )
+from stefbench.driver import MAX_ITERATIONS, _rungs
 from stefbench.precision import PrecisionContext
 
 
@@ -200,6 +204,21 @@ def test_far_field_start_still_converges(ctx):
 # -- config validation ----------------------------------------------------------
 
 
+def test_tolerance_mode_defaults_to_max_iterations(ctx):
+    assert SolveConfig().max_iterations is None
+    trace = solve("mkdf", from_expression("x^2 + 1"), ctx.mpf(1), SolveConfig(), ctx)
+    assert trace.status == MAX_ITERATIONS_REACHED
+    assert len(trace.iterates) == 1 + MAX_ITERATIONS
+
+
+def test_max_iterations_with_fixed_iterations_is_rejected(ctx):
+    # A fixed-count run takes its own step count; a step limit beside it
+    # would be silently ignored.
+    cfg = SolveConfig(fixed_iterations=3, max_iterations=1)
+    with pytest.raises(ValueError, match="max_iterations does not apply to a fixed-count run"):
+        solve("mkdf", BUILTINS["f1"], ctx.mpf(1), cfg, ctx)
+
+
 def test_config_validation(ctx):
     f = BUILTINS["f3"]
     with pytest.raises(ValueError):
@@ -306,3 +325,110 @@ def test_refinement_error_says_why_it_stopped(ctx):
         refine_root(from_expression("sqrt(x) - 3"), "0.1", ctx)
     with pytest.raises(RefinementError, match="ended denominator_breakdown: denominator"):
         refine_root(from_expression("x^2 + 1"), ctx.mpf(0), ctx)
+
+
+# -- the precision ladder -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512, 768, 1024, 1792, 2048, 4096, 16384, 50000])
+def test_rungs_climb_by_at_most_a_fourth_order_step(bits):
+    rungs = _rungs(bits)
+    if bits <= 512:
+        assert rungs == []
+    assert rungs == sorted(set(rungs))
+    assert all(r > 256 for r in rungs)
+    for r, nxt in zip(rungs, rungs[1:] + [bits]):
+        assert 3 * r - 64 >= nxt
+
+
+def test_rungs_of_the_documented_precisions():
+    assert _rungs(2048) == [704]
+    assert _rungs(4096) == [484, 1387]
+    assert _rungs(16384) == [638, 1849, 5483]
+
+
+@pytest.mark.parametrize(
+    "name, seed, bits",
+    # Each broke down at fixed precision: mkdf reached a residual between
+    # the convergence and breakdown floors, then divided by it.
+    [("f2", "0.7", 1792), ("f6", "1", 3328), ("f3", "1", 3840)],
+)
+def test_refinement_converges_where_fixed_precision_broke_down(name, seed, bits):
+    ctx = PrecisionContext(bits)
+    f = BUILTINS[name]
+    root = refine_root(f, seed, ctx)
+    assert abs(f(root, ctx)) <= ctx.convergence_floor
+
+
+def test_ladder_roots_are_within_two_ulp_of_a_triple_precision_root():
+    ctx, wide = PrecisionContext(4096), PrecisionContext(12288)
+    for name, f in BUILTINS.items():
+        oracle = refine_root(f, f.reference_root, wide)
+        for seed in (f.reference_root, f.default_x0):
+            root = refine_root(f, seed, ctx)
+            ulp = ctx.mp.ldexp(1, ctx.mp.mag(root) - ctx.bits)
+            assert abs(wide.mpf(root) - oracle) <= 2 * ulp, (name, seed)
+
+
+@pytest.mark.parametrize("bits", [1024, 3072, 4096])
+def test_the_full_precision_solve_takes_one_step(bits):
+    # Each rung stops at its breakdown floor; one that ran on to its
+    # convergence floor would break down on some of these and fall back.
+    ctx = PrecisionContext(bits)
+    for name, f in BUILTINS.items():
+        for seed in (f.reference_root, f.default_x0):
+            calls = Counter()
+
+            def counted(x, c, f=f):
+                calls[c.bits] += 1
+                return f(x, c)
+
+            refine_root(counted, seed, ctx)
+            # f(x_0), then one mkdf step's four evaluations, f(x_1) included.
+            assert calls[ctx.bits] == 5, (name, seed)
+            assert set(calls) == {*_rungs(ctx.bits), ctx.bits}
+
+
+def test_a_failed_rung_drops_the_whole_ladder():
+    # The 484-bit rung converges and the 1387-bit one fails, so the
+    # full-precision solve starts from the seed, not from the first rung.
+    ctx = PrecisionContext(4096)
+    low, high = _rungs(ctx.bits)
+    f3 = BUILTINS["f3"]
+    starts = []
+
+    def f(x, c):
+        if c.bits == high:
+            raise DomainError("refused at the second rung")
+        if c.bits == ctx.bits:
+            starts.append(x)
+        return f3(x, c)
+
+    root = refine_root(f, "0.739085", ctx)
+    assert starts[0] == ctx.mpf("0.739085")
+    assert abs(f3(root, ctx)) <= ctx.convergence_floor
+
+
+def test_a_failed_rung_falls_back_to_the_seed():
+    # At 2048 bits there is a rung; a failure on it gives the same error,
+    # message and all, as a refinement at the working precision alone.
+    ctx = PrecisionContext(2048)
+    cases = [
+        ("x^2 + 1", ctx.mpf(1), "refinement from 1.0 ended max_iterations_reached"),
+        (
+            "sqrt(x) - 3",
+            "0.1",
+            "refinement from 0.1 ended domain_error: "
+            "sqrt of negative value -2.5837722339831621 in 'sqrt(x)'",
+        ),
+        (
+            "x^2 + 1",
+            ctx.mpf(0),
+            "refinement from 0.0 ended denominator_breakdown: denominator "
+            "f(x+f(x)) - f(x-f(x)) fell below the breakdown floor (|0.0| < 2^(-0.9*2048))",
+        ),
+    ]
+    for expr, seed, message in cases:
+        with pytest.raises(RefinementError) as info:
+            refine_root(from_expression(expr), seed, ctx)
+        assert str(info.value) == message
