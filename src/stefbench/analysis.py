@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InsufficientDataError, SimpleRootError
-from .jets import jet_eval
 from .precision import PrecisionContext
 
 
@@ -115,7 +114,7 @@ def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorCons
         raise ValueError(
             "no root available: pass root= or a trace solved with a reference_root"
         )
-    jet = jet_eval(f, root, 4, ctx)
+    jet = f.eval_jet(root, 4, ctx)
     c1, c2, c3, c4 = jet.coeffs[1], jet.coeffs[2], jet.coeffs[3], jet.coeffs[4]
     if abs(c1) < ctx.breakdown_floor:
         raise SimpleRootError(

@@ -95,11 +95,7 @@ def _parse_theta(text):
 
 def _make_kind(args) -> MethodKind:
     theta = getattr(args, "theta", None)
-    if theta is None:
-        return MethodKind(args.method)
-    if args.method != "kou":
-        raise ValueError("--theta only applies to --method kou")
-    return MethodKind("kou", _parse_theta(theta))
+    return MethodKind(args.method, None if theta is None else _parse_theta(theta))
 
 
 def _resolve_function(args):
@@ -203,6 +199,8 @@ def _bench_text(report, threshold, ctx):
 
 def cmd_bench(args) -> int:
     ctx = _context_from(args)
+    if not 0 <= args.threshold <= 1:
+        raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     report = run_benchmark(
         ctx,
         tables=args.table,

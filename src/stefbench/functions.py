@@ -42,6 +42,12 @@ class ScalarFunction:
         return self._compiled_for(ctx, None)(x)
 
     def eval_jet(self, p, order: int, ctx: PrecisionContext) -> jets.TaylorJet:
+        """Expand f around ``p``: coefficient k of the result is f^(k)(p)/k!.
+
+        ``order`` must be at least 1.
+        """
+        if order < 1:
+            raise ValueError("jet order must be >= 1")
         return self._compiled_for(ctx, order)(p)
 
     def __repr__(self) -> str:
@@ -68,9 +74,6 @@ class CountingFunction:
     def eval_jet(self, p, order: int, ctx):
         self.jet_calls += 1
         return self.fn.eval_jet(p, order, ctx)
-
-    def __getattr__(self, name):
-        return getattr(self.fn, name)
 
 
 # Built-in test functions with their 6-decimal roots and the initial
@@ -101,11 +104,6 @@ def get_function(name: str) -> ScalarFunction:
         raise KeyError(f"unknown function {name!r} (known: {known})") from None
 
 
-def from_expression(
-    text: str,
-    name: str = "<expr>",
-    reference_root: str | None = None,
-    default_x0: str | None = None,
-) -> ScalarFunction:
+def from_expression(text: str) -> ScalarFunction:
     """Build a ScalarFunction from expression text (raises ParseError)."""
-    return ScalarFunction(name, text, reference_root, default_x0)
+    return ScalarFunction("<expr>", text)

@@ -34,9 +34,6 @@ class TaylorJet:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, k):
-        return self.coeffs[k]
-
     def __repr__(self) -> str:
         shown = ", ".join(self.ctx.nstr(c, 8) for c in self.coeffs[:5])
         tail = ", ..." if len(self.coeffs) > 5 else ""
@@ -208,14 +205,3 @@ def jet_abs(u: TaylorJet) -> TaylorJet:
     if u.coeffs[0] < 0:
         return -u
     raise DomainError("abs of a series with zero constant term is not differentiable")
-
-
-def jet_eval(f, p, order: int, ctx: PrecisionContext) -> TaylorJet:
-    """Expand ``f`` around ``p``: coefficient k of the result is f^(k)(p)/k!.
-
-    ``f`` must support jet evaluation (any ScalarFunction does); ``order``
-    must be at least 1.
-    """
-    if order < 1:
-        raise ValueError("jet order must be >= 1")
-    return f.eval_jet(p, order, ctx)

@@ -28,7 +28,6 @@ from typing import Callable
 from mpmath import isfinite
 
 from .errors import BreakdownError
-from .jets import jet_eval
 from .precision import PrecisionContext
 
 # The kou parameter at which kou is mkdf, and kou's default.
@@ -91,21 +90,18 @@ def _central_difference(f, x, fx, ctx: PrecisionContext):
     return _check_denominator(f(x + fx, ctx) - f(x - fx, ctx), "f(x+f(x)) - f(x-f(x))", ctx)
 
 
-def _central_slope(f, x, fx, ctx: PrecisionContext):
+def central_diff_slope(f, x, fx, ctx: PrecisionContext):
+    """[f(x + f(x)) - f(x - f(x))] / (2 f(x)), exactly as written.
+
+    ``fx = f(x, ctx)``, as every kernel takes it. No step-size heuristics:
+    the offset is f(x) itself. The caller is expected to have checked that
+    |f(x)| is above the convergence floor.
+    """
     d = _central_difference(f, x, fx, ctx)
     # 2*fx cannot be near zero when d passed the floor check, but a zero
     # residual would still divide by zero; guard it the same way.
     _check_denominator(fx, "f(x)", ctx)
     return d / (2 * fx)
-
-
-def central_diff_slope(f, x, ctx: PrecisionContext):
-    """[f(x + f(x)) - f(x - f(x))] / (2 f(x)), exactly as written.
-
-    No step-size heuristics: the offset is f(x) itself. The caller is
-    expected to have checked that |f(x)| is above the convergence floor.
-    """
-    return _central_slope(f, x, f(x, ctx), ctx)
 
 
 def steffensen_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
@@ -184,7 +180,7 @@ def kou_step(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
 
 def _kou_jet_step(f, x, fx, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutcome:
     """kou with the exact slope f'(x) from a first-order jet."""
-    return kou_step(f, x, fx, theta, jet_eval(f, x, 1, ctx).coeffs[1], ctx)
+    return kou_step(f, x, fx, theta, f.eval_jet(x, 1, ctx).coeffs[1], ctx)
 
 
 def kou_fd_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
@@ -197,7 +193,7 @@ def kou_fd_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
 def mkdf_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     """Fourth-order derivative-free kernel: kou theta = -1 with the
     central difference quotient as slope."""
-    return _kou_iterate(f, x, fx, MKDF_THETA, _central_slope(f, x, fx, ctx), ctx)
+    return _kou_iterate(f, x, fx, MKDF_THETA, central_diff_slope(f, x, fx, ctx), ctx)
 
 
 @dataclass(frozen=True)

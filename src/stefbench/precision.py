@@ -36,9 +36,9 @@ class PrecisionContext:
                 f"precision must be an integer >= {MIN_BITS} bits, got {bits!r}"
             )
         self.bits = bits
-        mp = MPContext()
+        # The underlying mpmath context, for callers needing the full API.
+        self.mp = mp = MPContext()
         mp.prec = bits
-        self._mp = mp
         two = mp.mpf(2)
         # Exact rational exponents: 0.9*bits = 9*bits/10, 0.95*bits = 19*bits/20,
         # 0.8*bits = 4*bits/5.
@@ -49,11 +49,6 @@ class PrecisionContext:
         # the code lives exactly as long as the context does.
         self.compiled = {}
 
-    @property
-    def mp(self):
-        """The underlying mpmath context, for callers needing the full API."""
-        return self._mp
-
     # -- construction -------------------------------------------------
 
     def mpf(self, value):
@@ -62,53 +57,53 @@ class PrecisionContext:
         Decimal text is parsed directly at this context's precision; prefer
         strings over floats so literals are never staged through binary64.
         """
-        return self._mp.mpf(value)
+        return self.mp.mpf(value)
 
     @property
     def eps(self):
         """Unit roundoff scale, 2^(1-bits)."""
-        return self._mp.mpf(2) ** (1 - self.bits)
+        return self.mp.mpf(2) ** (1 - self.bits)
 
     @property
     def decimal_digits(self) -> int:
         """Number of significant decimal digits carried, rounded up."""
-        return self._mp.dps + 2
+        return self.mp.dps + 2
 
     # -- elementary functions -----------------------------------------
 
     def sin(self, x):
-        return self._mp.sin(x)
+        return self.mp.sin(x)
 
     def cos(self, x):
-        return self._mp.cos(x)
+        return self.mp.cos(x)
 
     def exp(self, x):
-        return self._mp.exp(x)
+        return self.mp.exp(x)
 
     def ln(self, x):
         if x <= 0:
             raise DomainError(f"ln of non-positive value {self.nstr(x)}")
-        return self._mp.ln(x)
+        return self.mp.ln(x)
 
     def atan(self, x):
-        return self._mp.atan(x)
+        return self.mp.atan(x)
 
     def sqrt(self, x):
         if x < 0:
             raise DomainError(f"sqrt of negative value {self.nstr(x)}")
-        return self._mp.sqrt(x)
+        return self.mp.sqrt(x)
 
     def fabs(self, x):
-        return self._mp.fabs(x)
+        return self.mp.fabs(x)
 
     # -- rendering -----------------------------------------------------
 
-    def nstr(self, x, digits: int = 17, **kwargs) -> str:
-        return self._mp.nstr(x, digits, **kwargs)
+    def nstr(self, x, digits: int = 17) -> str:
+        return self.mp.nstr(x, digits)
 
     def full_str(self, x) -> str:
         """All carried digits, for machine-readable output."""
-        return self._mp.nstr(x, self.decimal_digits)
+        return self.mp.nstr(x, self.decimal_digits)
 
     def __repr__(self) -> str:
         return f"PrecisionContext(bits={self.bits})"

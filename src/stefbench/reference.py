@@ -141,8 +141,11 @@ def run_benchmark(
     """Replay the selected reference cells and score them.
 
     tables/methods/functions are optional collections restricting the cell
-    set.
+    set. ``tolerance_orders`` must be finite and non-negative.
     """
+    tol = ctx.mpf(tolerance_orders)
+    if not ctx.mp.isfinite(tol) or tol < 0:
+        raise ValueError(f"tolerance_orders must be finite and >= 0, got {tolerance_orders}")
     cells = load_reference_cells()
     if tables is not None:
         wanted = set(int(t) for t in tables)
@@ -154,7 +157,6 @@ def run_benchmark(
         wanted = set(functions)
         cells = [c for c in cells if c.function in wanted]
 
-    tol = ctx.mpf(tolerance_orders)
     steps = max(TABLE_ITERATIONS, *_NEARBY_COUNTS) if with_diagnostics else TABLE_ITERATIONS
     # The fixed-count trace of every cell run, per (table, function, x0, method).
     traces = {}

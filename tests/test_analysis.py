@@ -11,7 +11,6 @@ from stefbench import (
     empirical_ratio,
     error_constant,
     from_expression,
-    jet_eval,
     solve,
     stencil_coefficients,
 )
@@ -194,7 +193,7 @@ def test_error_constant_reports_both_sides_for_mkdf(ctx, roots):
 def test_stencil_matches_jets_on_f3(ctx, roots):
     f = BUILTINS["f3"]
     root = roots["f3"]
-    jet = jet_eval(f, root, 4, ctx)
+    jet = f.eval_jet(root, 4, ctx)
     stencil = stencil_coefficients(f, root, ctx)
     for k, approx in enumerate(stencil, start=1):
         rel = abs(approx - jet.coeffs[k]) / abs(jet.coeffs[k])

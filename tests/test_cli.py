@@ -124,7 +124,7 @@ def test_a_subcommand_is_required():
 def test_theta_only_applies_to_kou(capsys):
     rc = main(["solve", "--method", "mkdf", "--function", "f1", "--theta", "-1"])
     assert rc == 2
-    assert "--theta only applies" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: theta only applies to kou, not 'mkdf'\n"
 
 
 def test_theta_must_be_numeric(capsys):
@@ -421,6 +421,37 @@ def test_bench_empty_selection_is_a_usage_error(capsys):
 def test_bench_tolerance_flag_reaches_the_scorer(capsys):
     rc = main(["bench", "--table", "7", "--method", "mkdf", "--tolerance-orders", "0.5"])
     assert rc == 1
+
+
+BENCH_OPTION_RULES = {
+    "--tolerance-orders": "tolerance_orders must be finite and >= 0",
+    "--threshold": "--threshold must be in [0, 1]",
+}
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        *(("--tolerance-orders", v) for v in ("nan", "inf", "-1")),
+        *(("--threshold", v) for v in ("nan", "-1", "1.5")),
+    ],
+)
+def test_bench_scoring_options_are_usage_errors(capsys, monkeypatch, option, value):
+    def no_cell_runs(*args):
+        raise AssertionError("a cell ran before the options were checked")
+
+    monkeypatch.setattr("stefbench.reference._run", no_cell_runs)
+    rc = main(["bench", "--table", "4", "--method", "mkdf", f"{option}={value}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {BENCH_OPTION_RULES[option]}, got {float(value)}\n"
+
+
+def test_bench_threshold_of_one_is_accepted(capsys):
+    # The upper bound is inclusive; 0 is used throughout this file.
+    assert main(["bench", "--table", "4", "--method", "mkdf", "--threshold", "1"]) == 0
+    assert "threshold 100.0%: PASS" in capsys.readouterr().out
 
 
 # -- coc and constant -------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stefbench import DomainError, TaylorJet, from_expression, jet_eval
+from stefbench import DomainError, TaylorJet, from_expression
 from stefbench.jets import (
     constant_jet,
     jet_abs,
@@ -146,14 +146,14 @@ def test_division_by_zero_constant_term(ctx):
 def test_chain_rule_through_an_expression(ctx, close):
     f = from_expression("exp(sin(x))")
     p = ctx.mpf("0.3")
-    jet = jet_eval(f, p, 1, ctx)
+    jet = f.eval_jet(p, 1, ctx)
     expected = ctx.cos(p) * ctx.exp(ctx.sin(p))
     assert close(jet.coeffs[1], expected, ulps=4)
 
 
 def test_f3_jet_at_zero(ctx, close):
     # cos(x) - x at 0: coefficients 1, -1, -1/2, 0, 1/24.
-    jet = jet_eval(from_expression("cos(x) - x"), ctx.mpf(0), 4, ctx)
+    jet = from_expression("cos(x) - x").eval_jet(ctx.mpf(0), 4, ctx)
     assert jet.coeffs[0] == 1
     assert jet.coeffs[1] == -1
     assert jet.coeffs[2] == -ctx.mpf(1) / 2
@@ -161,9 +161,9 @@ def test_f3_jet_at_zero(ctx, close):
     assert close(jet.coeffs[4], ctx.mpf(1) / 24, ulps=4)
 
 
-def test_jet_eval_requires_positive_order(ctx):
+def test_eval_jet_requires_positive_order(ctx):
     with pytest.raises(ValueError):
-        jet_eval(from_expression("x"), ctx.mpf(1), 0, ctx)
+        from_expression("x").eval_jet(ctx.mpf(1), 0, ctx)
 
 
 def test_jet_needs_a_constant_coefficient(ctx):

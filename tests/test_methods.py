@@ -165,7 +165,7 @@ def test_central_difference_breaks_down_on_even_functions_at_zero(ctx):
         with pytest.raises(BreakdownError):
             step(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx)
     with pytest.raises(BreakdownError):
-        central_diff_slope(f, ctx.mpf(0), ctx)
+        central_diff_slope(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx)
 
 
 def test_forward_difference_breaks_down_on_constants(ctx):
@@ -190,8 +190,8 @@ def test_kou_rejects_tiny_slopes(ctx):
 def test_central_slope_exact_for_quadratics(ctx):
     # [(x+h)^2 - (x-h)^2] / 2h = 2x for any h, and here every quantity is
     # an integer, so the quotient is exact.
-    f = from_expression("x^2 - 2")
-    assert central_diff_slope(f, ctx.mpf(3), ctx) == 6
+    f, x = from_expression("x^2 - 2"), ctx.mpf(3)
+    assert central_diff_slope(f, x, f(x, ctx), ctx) == 6
 
 
 def test_central_slope_approximates_the_derivative_near_a_root(ctx):
@@ -199,7 +199,7 @@ def test_central_slope_approximates_the_derivative_near_a_root(ctx):
     # approaches f' with error about f(x)^2 |f'''| / 6, here below 1e-6.
     f = BUILTINS["f3"]
     x = ctx.mpf("0.74")
-    slope = central_diff_slope(f, x, ctx)
+    slope = central_diff_slope(f, x, f(x, ctx), ctx)
     exact = f.eval_jet(x, 1, ctx).coeffs[1]
     assert abs(slope - exact) < ctx.mpf("1e-6")
 

@@ -75,6 +75,12 @@ def test_single_cell_reproduction(ctx):
     assert abs(record.log10_discrepancy) < ctx.mpf("1e-3")
 
 
+@pytest.mark.parametrize("orders", [math.nan, math.inf, -math.inf, -1.0])
+def test_tolerance_orders_must_be_finite_and_non_negative(ctx, orders):
+    with pytest.raises(ValueError, match="tolerance_orders must be finite and >= 0"):
+        run_benchmark(ctx, tables=[4], methods=["mkdf"], tolerance_orders=orders)
+
+
 def test_steffensen_column_reproduces_everywhere(ctx):
     report = run_benchmark(ctx, methods=["steffensen"], with_diagnostics=False)
     assert report.total == 7
