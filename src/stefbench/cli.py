@@ -395,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=ANALYSIS_ITERATIONS)
     p.set_defaults(func=cmd_constant)
 
-    p = sub.add_parser("list", parents=[shared], help="enumerate methods and functions")
+    p = sub.add_parser("list", help="enumerate methods and functions")
     p.set_defaults(func=cmd_list)
 
     return parser

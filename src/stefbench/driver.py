@@ -45,6 +45,7 @@ SUCCESS_STATUSES = (CONVERGED, FIXED_COUNT_COMPLETED)
 
 DIVERGENCE_BOUND = 10**10
 MAX_ITERATIONS = 100  # the tolerance-mode step limit when none is given
+REFINE_MAX_ITERATIONS = 60  # refine_root's step limit, on every rung
 
 # refine_root's ladder has no rung at or below this precision: there the
 # cost of mpmath's arithmetic is mostly per-operation Python overhead, so a
@@ -77,14 +78,20 @@ class IterationTrace:
     def final(self) -> TraceEntry:
         return self.iterates[-1]
 
+    # A fixed-count run of n steps is a prefix of a longer fixed-count run
+    # from the same start, so both methods below read the shorter run off
+    # ``self``, which must be a fixed-count run of at least n steps.
+
+    def residual_at(self, n: int):
+        """|f| at the n-step run's final iterate: x_n, or where it stopped sooner."""
+        return abs(self.iterates[: n + 1][-1].fx)
+
     def status_at(self, n: int) -> str:
         """The status a fixed-count run of ``n`` steps ends with.
 
-        ``self`` must be a fixed-count run of at least ``n`` steps from the
-        same start; the shorter run is a prefix of it. A stop at or before
-        step n (floor, breakdown, domain error, divergence) ends both runs
-        alike. A run that got past x_n, or broke down or left the domain
-        in step n + 1, completed x_n.
+        A stop at or before step n (floor, breakdown, domain error,
+        divergence) ends both runs alike. A run that got past x_n, or broke
+        down or left the domain in step n + 1, completed x_n.
         """
         steps = len(self.iterates) - 1
         if steps > n or (steps == n and self.status in (DENOMINATOR_BREAKDOWN, DOMAIN_ERROR)):
@@ -205,13 +212,13 @@ def refine_root(f, seed, ctx: PrecisionContext):
     start = seed
     for bits in _rungs(ctx.bits):
         rung = PrecisionContext(bits)
-        cfg = SolveConfig(max_iterations=60, f_tolerance=rung.breakdown_floor)
+        cfg = SolveConfig(max_iterations=REFINE_MAX_ITERATIONS, f_tolerance=rung.breakdown_floor)
         trace = solve("mkdf", f, start, cfg, rung)
         if trace.status != CONVERGED:
             start = seed
             break
         start = trace.final.x
-    trace = solve("mkdf", f, start, SolveConfig(max_iterations=60), ctx)
+    trace = solve("mkdf", f, start, SolveConfig(max_iterations=REFINE_MAX_ITERATIONS), ctx)
     if trace.status != CONVERGED:
         why = f": {trace.detail}" if trace.detail else ""
         raise RefinementError(f"refinement from {seed} ended {trace.status}{why}")

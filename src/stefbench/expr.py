@@ -96,6 +96,10 @@ def _tokenize(text: str):
 
 # -- parser ----------------------------------------------------------------
 
+# Binding strength, shared by the parser and unparse: the binary operators
+# by symbol, unary minus, power, and everything that binds as an atom.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -118,29 +122,26 @@ class _Parser:
         raise ParseError(f"expected '{symbol}'", pos)
 
     def parse(self):
-        node = self.expr()
+        node = self.binary()
         kind, value, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {value!r}", pos)
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = Binary(value, node, self.term())
-            else:
-                return node
+    def binary(self, level: int = 1):
+        """Operands joined left to right by the binary operators of ``level``.
 
-    def term(self):
-        node = self.unary()
+        Each operand parses one level up, so a higher level binds tighter;
+        the climb ends at the level of unary minus.
+        """
+        if level == _PREC["neg"]:
+            return self.unary()
+        node = self.binary(level + 1)
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
+            if kind == "op" and _PREC.get(value) == level:
                 self.advance()
-                node = Binary(value, node, self.unary())
+                node = Binary(value, node, self.binary(level + 1))
             else:
                 return node
 
@@ -182,12 +183,12 @@ class _Parser:
                 return Var()
             if value in FUNCTION_NAMES:
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.binary()
                 self.expect_op(")")
                 return Unary(value, arg)
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.binary()
             self.expect_op(")")
             return node
         shown = value if value else "end of input"
@@ -202,8 +203,6 @@ def parse(text: str):
 
 
 # -- unparse ----------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
 
 
 def _prec(node) -> int:
@@ -255,15 +254,15 @@ def unparse(node) -> str:
 class HPOps:
     """Scalar evaluation adapter over a precision context.
 
-    The elementary functions are the context's own methods, looked up when
-    the adapter is built.
+    The elementary functions are the context's own methods, and abs is its
+    mpmath context's ``fabs``, all looked up when the adapter is built.
     """
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self.var = ctx.mpf
         self.sin, self.cos, self.exp, self.ln = ctx.sin, ctx.cos, ctx.exp, ctx.ln
-        self.arctan, self.sqrt, self.abs = ctx.atan, ctx.sqrt, ctx.fabs
+        self.arctan, self.sqrt, self.abs = ctx.atan, ctx.sqrt, ctx.mp.fabs
 
     def const(self, text: str):
         return self.ctx.mpf(text)

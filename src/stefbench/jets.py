@@ -41,32 +41,27 @@ class TaylorJet:
 
     # -- linear ops ----------------------------------------------------
 
-    def _wrap(self, other):
-        if isinstance(other, TaylorJet):
-            if len(other) != len(self):
-                raise ValueError("jet orders differ")
-            return other
-        return constant_jet(other, self.order, self.ctx)
+    def _same_order(self, other):
+        if not isinstance(other, TaylorJet):
+            raise TypeError(f"a jet combines only with a jet, not {type(other).__name__}")
+        if len(other) != len(self):
+            raise ValueError("jet orders differ")
+        return other
 
     def __add__(self, other):
-        o = self._wrap(other)
+        o = self._same_order(other)
         return TaylorJet([a + b for a, b in zip(self.coeffs, o.coeffs)], self.ctx)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return TaylorJet([-a for a in self.coeffs], self.ctx)
 
     def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return self._wrap(other) + (-self)
+        return self + (-self._same_order(other))
 
     # -- products and quotients -----------------------------------------
 
     def __mul__(self, other):
-        o = self._wrap(other)
+        o = self._same_order(other)
         zero = self.ctx.mpf(0)
         out = []
         for k in range(len(self.coeffs)):
@@ -76,10 +71,8 @@ class TaylorJet:
             out.append(acc)
         return TaylorJet(out, self.ctx)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        o = self._wrap(other)
+        o = self._same_order(other)
         if o.coeffs[0] == 0:
             raise DomainError("jet division by a series with zero constant term")
         out = []
@@ -89,9 +82,6 @@ class TaylorJet:
                 acc -= out[j] * o.coeffs[k - j]
             out.append(acc / o.coeffs[0])
         return TaylorJet(out, self.ctx)
-
-    def __rtruediv__(self, other):
-        return self._wrap(other) / self
 
     def __pow__(self, n):
         if not isinstance(n, int) or isinstance(n, bool):
@@ -125,30 +115,40 @@ def seed_jet(point, order: int, ctx: PrecisionContext) -> TaylorJet:
 #
 # Writing u for the input and v for the result, each recurrence below comes
 # from a first-order ODE satisfied by the pair, matched coefficientwise.
+# exp, sin and cos solve v' = u' g, with g = v, cos u and -sin u; ln and
+# arctan solve v' = u' / w, with w = u and 1 + u^2.
 
 
-def jet_exp(u: TaylorJet) -> TaylorJet:
-    ctx = u.ctx
-    v = [ctx.exp(u.coeffs[0])]
-    for k in range(1, len(u)):
-        acc = ctx.mpf(0)
-        for j in range(1, k + 1):
-            acc += j * u.coeffs[j] * v[k - j]
-        v.append(acc / k)
-    return TaylorJet(v, ctx)
+def _du_times(u: TaylorJet, g, k: int):
+    """The sum of j u_j g_(k-j) over j = 1..k, which v' = u' g sets to k v_k."""
+    acc = u.ctx.mpf(0)
+    for j in range(1, k + 1):
+        acc += j * u.coeffs[j] * g[k - j]
+    return acc
 
 
-def jet_ln(u: TaylorJet) -> TaylorJet:
-    ctx = u.ctx
-    if u.coeffs[0] <= 0:
-        raise DomainError("ln of a series with non-positive constant term")
-    v = [ctx.ln(u.coeffs[0])]
+def _du_over(u: TaylorJet, w, v0) -> TaylorJet:
+    """The v with v_0 = v0 and v' = u' / w, matching w v' = u' coefficientwise."""
+    v = [v0]
     for k in range(1, len(u)):
         acc = k * u.coeffs[k]
         for j in range(1, k):
-            acc -= j * v[j] * u.coeffs[k - j]
-        v.append(acc / (k * u.coeffs[0]))
-    return TaylorJet(v, ctx)
+            acc -= j * v[j] * w[k - j]
+        v.append(acc / (k * w[0]))
+    return TaylorJet(v, u.ctx)
+
+
+def jet_exp(u: TaylorJet) -> TaylorJet:
+    v = [u.ctx.exp(u.coeffs[0])]
+    for k in range(1, len(u)):
+        v.append(_du_times(u, v, k) / k)
+    return TaylorJet(v, u.ctx)
+
+
+def jet_ln(u: TaylorJet) -> TaylorJet:
+    if u.coeffs[0] <= 0:
+        raise DomainError("ln of a series with non-positive constant term")
+    return _du_over(u, u.coeffs, u.ctx.ln(u.coeffs[0]))
 
 
 def jet_sin_cos(u: TaylorJet):
@@ -156,13 +156,8 @@ def jet_sin_cos(u: TaylorJet):
     s = [ctx.sin(u.coeffs[0])]
     c = [ctx.cos(u.coeffs[0])]
     for k in range(1, len(u)):
-        sa = ctx.mpf(0)
-        ca = ctx.mpf(0)
-        for j in range(1, k + 1):
-            sa += j * u.coeffs[j] * c[k - j]
-            ca += j * u.coeffs[j] * s[k - j]
-        s.append(sa / k)
-        c.append(-ca / k)
+        s.append(_du_times(u, c, k) / k)
+        c.append(-_du_times(u, s, k) / k)
     return TaylorJet(s, ctx), TaylorJet(c, ctx)
 
 
@@ -175,15 +170,8 @@ def jet_cos(u: TaylorJet) -> TaylorJet:
 
 
 def jet_atan(u: TaylorJet) -> TaylorJet:
-    ctx = u.ctx
-    w = constant_jet(1, u.order, ctx) + u * u  # 1 + u^2
-    v = [ctx.atan(u.coeffs[0])]
-    for k in range(1, len(u)):
-        acc = k * u.coeffs[k]
-        for j in range(1, k):
-            acc -= j * v[j] * w.coeffs[k - j]
-        v.append(acc / (k * w.coeffs[0]))
-    return TaylorJet(v, ctx)
+    w = constant_jet(1, u.order, u.ctx) + u * u  # 1 + u^2
+    return _du_over(u, w.coeffs, u.ctx.atan(u.coeffs[0]))
 
 
 def jet_sqrt(u: TaylorJet) -> TaylorJet:

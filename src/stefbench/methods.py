@@ -98,8 +98,8 @@ def central_diff_slope(f, x, fx, ctx: PrecisionContext):
     |f(x)| is above the convergence floor.
     """
     d = _central_difference(f, x, fx, ctx)
-    # 2*fx cannot be near zero when d passed the floor check, but a zero
-    # residual would still divide by zero; guard it the same way.
+    # d is about 2 f'(x) f(x), so where |f'(x)| is large d passes the floor
+    # check while f(x) lies below the floor; check f(x) the same way.
     _check_denominator(fx, "f(x)", ctx)
     return d / (2 * fx)
 

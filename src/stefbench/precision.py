@@ -93,9 +93,6 @@ class PrecisionContext:
             raise DomainError(f"sqrt of negative value {self.nstr(x)}")
         return self.mp.sqrt(x)
 
-    def fabs(self, x):
-        return self.mp.fabs(x)
-
     # -- rendering -----------------------------------------------------
 
     def nstr(self, x, digits: int = 17) -> str:

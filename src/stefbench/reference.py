@@ -115,11 +115,6 @@ def _run(cell: ReferenceCell, method: str, steps: int, ctx: PrecisionContext) ->
     return solve(MethodKind(method), f, ctx.mpf(cell.x0), cfg, ctx)
 
 
-def _residual_at(trace: IterationTrace, n: int):
-    """|f(x_n)| of the n-step prefix of a fixed-count trace."""
-    return abs(trace.iterates[: n + 1][-1].fx)
-
-
 def _key(cell: ReferenceCell, method: str):
     return cell.table_id, cell.function, cell.x0, method
 
@@ -163,7 +158,7 @@ def run_benchmark(
     records = []
     for cell in cells:
         trace = traces[_key(cell, cell.method)] = _run(cell, cell.method, steps, ctx)
-        computed = _residual_at(trace, TABLE_ITERATIONS)
+        computed = trace.residual_at(TABLE_ITERATIONS)
         disc = _discrepancy(computed, ctx.mpf(cell.paper_value), ctx)
         match = disc is not None and abs(disc) <= tol
         records.append(
@@ -187,7 +182,7 @@ def run_benchmark(
             own = traces[_key(cell, cell.method)]
             better = []
             for n in _NEARBY_COUNTS:
-                alt_disc = _discrepancy(_residual_at(own, n), paper, ctx)
+                alt_disc = _discrepancy(own.residual_at(n), paper, ctx)
                 if alt_disc is None:
                     continue
                 if base is None or abs(alt_disc) < base:
@@ -199,7 +194,7 @@ def run_benchmark(
                 key = _key(cell, tag)
                 if key not in traces:
                     traces[key] = _run(cell, tag, TABLE_ITERATIONS, ctx)
-                alt_disc = _discrepancy(_residual_at(traces[key], TABLE_ITERATIONS), paper, ctx)
+                alt_disc = _discrepancy(traces[key].residual_at(TABLE_ITERATIONS), paper, ctx)
                 if alt_disc is not None and abs(alt_disc) <= tol:
                     alts.append((tag, alt_disc))
             diagnostics.append(

@@ -496,6 +496,16 @@ def test_constant_refines_where_fixed_precision_broke_down(capsys):
     assert "refined root = 0.257530285439860760455367304937" in capsys.readouterr().out
 
 
+def test_constant_from_the_root_itself_has_nothing_to_compare(capsys):
+    # From x0 = 1 on the root of x - 1 every error is 0, so no ratio is
+    # usable and the agreement has no empirical side.
+    rc = main(["constant", "--expr", "x - 1", "--x0", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "empirical e(n+1)/e(n)^4 ratios: none usable" in out
+    assert "agreement |empirical/formula|: n/a" in out
+
+
 def test_constant_without_a_root_fails(capsys):
     rc = main(["constant", "--expr", "x^2 + 1"])
     assert rc == 1
@@ -523,3 +533,10 @@ def test_list_enumerates_methods_and_functions(capsys):
         assert tag in out
     for name in FUNCTION_NAMES:
         assert name in out
+
+
+def test_list_takes_no_precision():
+    # list computes nothing, so a precision would be ignored; it is refused.
+    with pytest.raises(SystemExit) as exc:
+        main(["list", "--precision-bits", "512"])
+    assert exc.value.code == 2

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from stefbench import BUILTINS, DomainError, ParseError, PrecisionContext, from_expression
+from stefbench import (
+    BUILTINS,
+    DomainError,
+    ParseError,
+    PrecisionContext,
+    from_expression,
+    get_function,
+)
 from stefbench.expr import Binary, Const, HPOps, JetOps, Pow, Unary, Var, parse, unparse
 
 
@@ -17,6 +24,11 @@ from stefbench.expr import Binary, Const, HPOps, JetOps, Pow, Unary, Var, parse,
 def test_builtin_sources_round_trip(name):
     ast = parse(BUILTINS[name].source)
     assert parse(unparse(ast)) == ast
+
+
+def test_unknown_builtin_names_the_known_ones():
+    with pytest.raises(KeyError, match=r"unknown function 'f9' \(known: f1, f2, .*, f7\)"):
+        get_function("f9")
 
 
 @pytest.mark.parametrize(

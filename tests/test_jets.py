@@ -44,7 +44,7 @@ def test_cube_at_two_is_exact(ctx):
 
 def test_reciprocal_at_two_is_exact(ctx):
     j = seed_jet(ctx.mpf(2), 3, ctx)
-    r = 1 / j
+    r = constant_jet(1, 3, ctx) / j
     half = ctx.mpf(1) / 2
     assert r.coeffs == (half, -(half ** 2), half ** 3, -(half ** 4))
 
@@ -56,7 +56,7 @@ def test_division_inverts_multiplication_exactly_for_dyadics(ctx):
 
 def test_negative_power_matches_reciprocal(ctx):
     j = seed_jet(ctx.mpf("1.5"), 4, ctx)
-    assert (j ** -2).coeffs == (1 / (j * j)).coeffs
+    assert (j ** -2).coeffs == (constant_jet(1, 4, ctx) / (j * j)).coeffs
 
 
 def test_power_rejects_non_integer_exponents(ctx):
@@ -70,6 +70,16 @@ def test_power_rejects_non_integer_exponents(ctx):
 def test_mismatched_orders_refuse_to_combine(ctx):
     with pytest.raises(ValueError):
         seed_jet(ctx.mpf(1), 3, ctx) + seed_jet(ctx.mpf(1), 4, ctx)
+
+
+def test_jets_combine_only_with_jets(ctx):
+    j, two = seed_jet(ctx.mpf(2), 3, ctx), ctx.mpf(2)
+    for combine in (
+        lambda: j + two, lambda: two + j, lambda: j - two, lambda: two - j,
+        lambda: j * 2, lambda: 2 * j, lambda: j / two, lambda: 1 / j,
+    ):
+        with pytest.raises(TypeError):
+            combine()
 
 
 def test_sqrt_at_four_is_exact(ctx):
@@ -188,7 +198,7 @@ def test_polynomial_jets_match_binomial_expansion(ctx, coeffs, num, den_pow):
     jet = constant_jet(ctx.mpf(coeffs[-1]), order, ctx)
     x = seed_jet(p, order, ctx)
     for c in reversed(coeffs[:-1]):
-        jet = jet * x + ctx.mpf(c)
+        jet = jet * x + constant_jet(ctx.mpf(c), order, ctx)
 
     for i in range(order + 1):
         expected = sum(

@@ -7,6 +7,7 @@ import pytest
 
 from stefbench import (
     BUILTINS,
+    DENOMINATOR_BREAKDOWN,
     FIXED_COUNT_COMPLETED,
     BreakdownError,
     MethodKind,
@@ -192,6 +193,22 @@ def test_central_slope_exact_for_quadratics(ctx):
     # an integer, so the quotient is exact.
     f, x = from_expression("x^2 - 2"), ctx.mpf(3)
     assert central_diff_slope(f, x, f(x, ctx), ctx) == 6
+
+
+def test_central_slope_checks_f_where_the_difference_passes(ctx):
+    # D = f(x + f(x)) - f(x - f(x)) is about 2 f'(x) f(x): with f' = 1e30,
+    # D = 2e-110 passes the breakdown floor while f(x) = 1e-140 lies below
+    # it, so the f(x) check is the one that stops mkdf.
+    f, x = from_expression("1e30*x"), ctx.mpf("1e-170")
+    fx = f(x, ctx)
+    assert abs(f(x + fx, ctx) - f(x - fx, ctx)) >= ctx.breakdown_floor > abs(fx)
+    with pytest.raises(BreakdownError, match=r"denominator f\(x\) fell below"):
+        central_diff_slope(f, x, fx, ctx)
+    trace = solve("mkdf", f, x, SolveConfig(), ctx)
+    assert trace.status == DENOMINATOR_BREAKDOWN
+    assert trace.detail == (
+        "denominator f(x) fell below the breakdown floor (|1.0e-140| < 2^(-0.9*512))"
+    )
 
 
 def test_central_slope_approximates_the_derivative_near_a_root(ctx):

@@ -95,6 +95,25 @@ def test_full_run_counts(ctx):
     assert per_method == {"steffensen": 7, "jain": 7, "mkdf": 6, "cordero": 2}
 
 
+def _printed_replay(bits):
+    """Each cell's five-digit residual and status, as ``bench`` prints them."""
+    ctx = PrecisionContext(bits)
+    report = run_benchmark(ctx, with_diagnostics=False)
+    return {
+        (r.cell.table_id, r.cell.method): (format_paper(r.computed_value, ctx), r.status)
+        for r in report.records
+    }
+
+
+def test_printed_digits_are_stable_under_doubled_precision():
+    # No printed digit of the replay is roundoff: doubling 512 bits changes
+    # no cell. The check has teeth: from 256 bits, 2 cells (table 8
+    # cordero and mkdf) change, and from 128 bits, 10 do.
+    at_512 = _printed_replay(512)
+    assert len(at_512) == 49
+    assert at_512 == _printed_replay(1024)
+
+
 def test_records_follow_dataset_order(ctx):
     report = run_benchmark(ctx, with_diagnostics=False)
     keys = [(r.cell.table_id, r.cell.method) for r in report.records]

@@ -24,6 +24,9 @@ from pathlib import Path
 # Spelled out rather than read from the checkout, so both sides run the same commands.
 BUILTINS = [f"f{i}" for i in range(1, 8)]
 METHODS = ["steffensen", "jain", "dehghan1", "dehghan2", "dehghan3", "cordero", "mkdf", "kou", "kou_fd"]
+# Every function of the grammar, a negative power and a unary minus; the
+# built-ins use no sqrt, abs or negative power. Its root is near 1.25.
+EVERY_RULE = "sqrt(x + 3) + abs(x - 3)/exp(x) + arctan(x)*x^-2 - ln(x)*sin(x)*cos(-x) - 3.07"
 
 
 def _commands():
@@ -43,6 +46,11 @@ def _commands():
             yield ["constant", "--function", name, "--precision-bits", bits], {}
     yield ["constant", "--expr", "x + x^2"], {}
     yield ["constant", "--expr", "exp(x) - 2", "--x0", "0.7"], {}
+    # The scalar path, order-1 jets, and order-4 jets at two precisions.
+    for method in ("mkdf", "kou"):
+        yield ["solve", "--method", method, "--expr", EVERY_RULE, "--x0", "1.2", "--format", "json"], {}
+    for bits in ("512", "4096"):
+        yield ["constant", "--expr", EVERY_RULE, "--x0", "1.2", "--precision-bits", bits], {}
     yield ["list"], {}
     # The usage and failure cases of tests/test_cli.py.
     yield [], {}
