@@ -55,16 +55,22 @@ def coc(trace, ctx: PrecisionContext) -> CocEstimate:
         )
     ln = ctx.mp.ln
     per_step = []
+    # ln(errs[i] / errs[i - 1]) when the previous triple took it as its
+    # numerator; this triple reuses it as its denominator.
+    num = None
     for i in range(1, len(errs) - 1):
+        den, num = num, None
         if not (usable[i - 1] and usable[i] and usable[i + 1]):
             continue
         # Quotient first, then ln: the ratio of two representable errors is
         # exact whenever they differ by a power-of-two scale, and well
         # conditioned otherwise.
-        den = ln(errs[i] / errs[i - 1])
+        if den is None:
+            den = ln(errs[i] / errs[i - 1])
         if den == 0:
             continue
-        per_step.append(ln(errs[i + 1] / errs[i]) / den)
+        num = ln(errs[i + 1] / errs[i])
+        per_step.append(num / den)
     if not per_step:
         raise InsufficientDataError("no well-conditioned consecutive error triple")
     return CocEstimate(per_step=per_step, final=per_step[-1], usable_steps=count)

@@ -153,8 +153,8 @@ def jet_ln(u: TaylorJet) -> TaylorJet:
 
 def jet_sin_cos(u: TaylorJet):
     ctx = u.ctx
-    s = [ctx.sin(u.coeffs[0])]
-    c = [ctx.cos(u.coeffs[0])]
+    c0, s0 = ctx.cos_sin(u.coeffs[0])
+    s, c = [s0], [c0]
     for k in range(1, len(u)):
         s.append(_du_times(u, c, k) / k)
         c.append(-_du_times(u, s, k) / k)

@@ -8,9 +8,15 @@ numbers of that context; arithmetic on them uses the usual operators.
 The elementary functions provided here signal :class:`DomainError` for
 arguments outside the real domain instead of silently returning complex
 values or infinities, which is what bare mpmath does for ``ln``/``sqrt``.
+They also signal it for an argument of ``sin``, ``cos`` or ``exp`` whose
+magnitude reaches 2^bits: such a number has no fractional bits left, so the
+result carries no information, and mpmath's time for it grows with the
+magnitude.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
 
@@ -27,7 +33,8 @@ class PrecisionContext:
     ``convergence_floor`` = 2^(-0.95 * bits): residual magnitude treated
     as "at the root".
     ``usable_floor`` = 2^(-0.8 * bits): smallest error |e_n| that still
-    carries order information.
+    carries order information. Only the order analysis reads it, so it is
+    computed on first use.
     """
 
     def __init__(self, bits: int):
@@ -41,13 +48,17 @@ class PrecisionContext:
         mp.prec = bits
         two = mp.mpf(2)
         # Exact rational exponents: 0.9*bits = 9*bits/10, 0.95*bits = 19*bits/20,
-        # 0.8*bits = 4*bits/5.
+        # and 0.8*bits = 4*bits/5 in usable_floor.
         self.breakdown_floor = two ** (-mp.mpf(9 * bits) / 10)
         self.convergence_floor = two ** (-mp.mpf(19 * bits) / 20)
-        self.usable_floor = two ** (-mp.mpf(4 * bits) / 5)
         # Expressions compiled for this context, filled by ScalarFunction;
         # the code lives exactly as long as the context does.
         self.compiled = {}
+
+    @cached_property
+    def usable_floor(self):
+        mp = self.mp
+        return mp.mpf(2) ** (-mp.mpf(4 * self.bits) / 5)
 
     # -- construction -------------------------------------------------
 
@@ -71,14 +82,27 @@ class PrecisionContext:
 
     # -- elementary functions -----------------------------------------
 
+    def _bounded(self, name: str, x):
+        # mag(x) > bits exactly when |x| >= 2^bits (infinities included).
+        if self.mp.mag(x) > self.bits:
+            raise DomainError(
+                f"{name} of {self.nstr(x)}: |argument| >= 2^{self.bits} "
+                "has no fractional bits at working precision"
+            )
+        return x
+
     def sin(self, x):
-        return self.mp.sin(x)
+        return self.mp.sin(self._bounded("sin", x))
 
     def cos(self, x):
-        return self.mp.cos(x)
+        return self.mp.cos(self._bounded("cos", x))
+
+    def cos_sin(self, x):
+        """(cos x, sin x) from one call, bit for bit as ``cos`` and ``sin`` give them."""
+        return self.mp.cos_sin(self._bounded("sin and cos", x))
 
     def exp(self, x):
-        return self.mp.exp(x)
+        return self.mp.exp(self._bounded("exp", x))
 
     def ln(self, x):
         if x <= 0:

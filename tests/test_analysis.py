@@ -1,10 +1,13 @@
 """Order estimation and the error-constant report."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stefbench import (
     BUILTINS,
     InsufficientDataError,
+    PrecisionContext,
     SimpleRootError,
     SolveConfig,
     coc,
@@ -83,6 +86,70 @@ def test_coc_requires_a_clean_consecutive_triple(ctx):
     # Usable count passes but no three usable errors are consecutive.
     with pytest.raises(InsufficientDataError):
         coc(_trace_from_errors(ctx, ["1e-1", "1e-3", "1e-130", "1e-9", "1e-27"]), ctx)
+
+
+def _coc_two_logs_per_triple(errs, ctx):
+    """Reference: each triple takes both of its logarithms itself."""
+    floor = ctx.usable_floor
+    usable = [e > floor for e in errs]
+    if sum(usable) < 3:
+        return None
+    per_step = []
+    for i in range(1, len(errs) - 1):
+        if not (usable[i - 1] and usable[i] and usable[i + 1]):
+            continue
+        den = ctx.mp.ln(errs[i] / errs[i - 1])
+        if den == 0:
+            continue
+        per_step.append(ctx.mp.ln(errs[i + 1] / errs[i]) / den)
+    return per_step or None
+
+
+# Decimal exponents around the 512-bit usability floor (about 1e-123), with
+# repeats so that stagnant pairs give zero denominators.
+_ERRORS = st.lists(
+    st.tuples(st.sampled_from(["1", "3", "7"]), st.integers(min_value=1, max_value=140)),
+    min_size=1,
+    max_size=9,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ERRORS)
+# A zero denominator, then a triple that cannot reuse the skipped one's ratio.
+@example([("1", 5), ("1", 5), ("1", 10), ("1", 20), ("1", 40)])
+# An unusable gap between two usable runs.
+@example([("1", 1), ("1", 2), ("1", 4), ("1", 130), ("1", 3), ("1", 6), ("1", 12)])
+def test_coc_takes_the_reference_logarithms_bit_for_bit(ctx, digits):
+    errs = [ctx.mpf(f"{m}e-{k}") for m, k in digits]
+    expected = _coc_two_logs_per_triple(errs, ctx)
+    if expected is None:
+        with pytest.raises(InsufficientDataError):
+            coc(_trace_from_errors(ctx, errs), ctx)
+        return
+    est = coc(_trace_from_errors(ctx, errs), ctx)
+    assert [r._mpf_ for r in est.per_step] == [r._mpf_ for r in expected]
+    assert est.final._mpf_ == expected[-1]._mpf_
+    assert est.usable_steps == sum(e > ctx.usable_floor for e in errs)
+
+
+def test_coc_takes_each_logarithm_once(monkeypatch):
+    c = PrecisionContext(4096)
+    calls = []
+    ln = c.mp.ln
+
+    def counting_ln(x):
+        calls.append(x)
+        return ln(x)
+
+    # Six usable errors and one below the floor: four triples, five ratios.
+    errors = ["1e-1", "1e-2", "1e-4", "1e-16", "1e-64", "1e-256", "1e-1024"]
+    trace = _trace_from_errors(c, errors)
+    monkeypatch.setattr(c.mp, "ln", counting_ln)
+    est = coc(trace, c)
+    assert est.usable_steps == 6
+    assert len(est.per_step) == 4
+    assert len(calls) == 5
 
 
 def test_usable_floor_exponent(ctx):

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stefbench
 from stefbench import (
     FUNCTION_NAMES,
     METHOD_TAGS,
@@ -167,6 +172,26 @@ def test_solve_reports_why_it_stopped(capsys):
     assert rc == 1
     assert lines[-2].startswith("status: domain_error")
     assert lines[-1].startswith("detail: ln of non-positive value")
+
+
+def test_a_runaway_exponential_ends_in_a_domain_error():
+    # f(1) = 3.8e6, and the probe x + f(x) sends exp(exp(x)) to about
+    # 10^(1.65e6), far beyond 2^512. A separate process with a timeout keeps
+    # a regression from hanging the suite.
+    src = str(Path(stefbench.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["solve", "--method", "mkdf", "--expr", "exp(exp(exp(x)))", "--x0", "1",
+            "--iterations", "3", "--format", "json"]
+    code = "import sys; from stefbench.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=10
+    )
+    payload = json.loads(done.stdout)
+    assert done.returncode == 1
+    assert payload["precision_bits"] == 512
+    assert payload["status"] == "domain_error"
+    assert payload["detail"].startswith("exp of ")
+    assert ">= 2^512" in payload["detail"]
 
 
 def test_zero_fixed_iterations_is_a_usage_error(capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stefbench import DomainError, TaylorJet, from_expression
+from stefbench import DomainError, PrecisionContext, TaylorJet, from_expression
 from stefbench.jets import (
     constant_jet,
     jet_abs,
@@ -137,6 +137,32 @@ def test_sin_cos_split_helpers_agree(ctx):
     s, c = jet_sin_cos(u)
     assert jet_sin(u).coeffs == s.coeffs
     assert jet_cos(u).coeffs == c.coeffs
+
+
+@pytest.mark.parametrize("bits", [512, 2048, 4096])
+def test_sin_cos_jets_match_separate_sin_and_cos(bits):
+    c = PrecisionContext(bits)
+    for text in ("0.3", "-2.7", "1e-30", "1234.5"):
+        u = from_expression("x^2/3 + x").eval_jet(c.mpf(text), 5, c)
+        s, co = jet_sin_cos(u)
+        # The same recurrence started from separate sin and cos calls.
+        expected_s, expected_c = [c.sin(u.coeffs[0])], [c.cos(u.coeffs[0])]
+        for k in range(1, len(u)):
+            acc_s, acc_c = c.mpf(0), c.mpf(0)
+            for j in range(1, k + 1):
+                acc_s += j * u.coeffs[j] * expected_c[k - j]
+                acc_c += j * u.coeffs[j] * expected_s[k - j]
+            expected_s.append(acc_s / k)
+            expected_c.append(-acc_c / k)
+        assert [a._mpf_ for a in s.coeffs] == [b._mpf_ for b in expected_s]
+        assert [a._mpf_ for a in co.coeffs] == [b._mpf_ for b in expected_c]
+
+
+def test_sin_cos_and_exp_jets_refuse_huge_arguments(ctx):
+    u = seed_jet(ctx.mpf(2) ** 600, 3, ctx)
+    for jet_fn in (jet_sin, jet_cos, jet_exp):
+        with pytest.raises(DomainError):
+            jet_fn(u)
 
 
 def test_abs_by_sign_of_constant_term(ctx):

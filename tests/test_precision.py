@@ -2,7 +2,14 @@
 
 import pytest
 
-from stefbench import DomainError, InvalidPrecisionError, PrecisionContext
+from stefbench import (
+    BUILTINS,
+    DomainError,
+    InvalidPrecisionError,
+    PrecisionContext,
+    SolveConfig,
+    solve,
+)
 
 
 @pytest.mark.parametrize("bad", [63, 0, -512, "512", 512.0, True, None])
@@ -65,6 +72,29 @@ def test_domain_guards(ctx):
         ctx.sqrt(ctx.mpf(-1))
     assert ctx.sqrt(zero) == 0
     assert ctx.atan(ctx.mpf(-3)) < 0
+
+
+def test_usable_floor_is_computed_on_first_use():
+    c = PrecisionContext(1024)
+    solve("mkdf", BUILTINS["f3"], c.mpf(1), SolveConfig(), c)
+    assert "usable_floor" not in c.__dict__
+    floor = c.usable_floor
+    assert floor._mpf_ == (c.mpf(2) ** (-c.mpf(4 * 1024) / 5))._mpf_
+    assert c.__dict__["usable_floor"] is floor
+
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "cos_sin"])
+def test_magnitude_guard_at_two_to_the_bits(ctx, name):
+    call = getattr(ctx, name)
+    limit = ctx.mpf(2) ** 512
+    for x in (limit, -limit, 3 * limit, ctx.mp.inf):
+        with pytest.raises(DomainError, match=r">= 2\^512"):
+            call(x)
+    # The largest magnitude below the limit is still evaluated.
+    below = limit - 1
+    assert below < limit
+    assert call(below) == getattr(ctx.mp, name)(below)
+    assert call(-below) == getattr(ctx.mp, name)(-below)
 
 
 def test_full_str_round_trips_exactly(ctx):
