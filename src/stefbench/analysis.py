@@ -53,7 +53,7 @@ def coc(trace, ctx: PrecisionContext) -> CocEstimate:
         raise InsufficientDataError(
             f"need at least 3 errors above the usability floor, got {count}"
         )
-    ln = ctx.mp.ln
+    ln = ctx.ln
     per_step = []
     # ln(errs[i] / errs[i - 1]) when the previous triple took it as its
     # numerator; this triple reuses it as its denominator.

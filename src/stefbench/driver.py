@@ -9,11 +9,11 @@ reports. Statuses:
     fixed_count_completed    fixed-count mode ran its exact step count
     max_iterations_reached   tolerance mode ran out of steps
     denominator_breakdown    a kernel denominator fell below the floor
-    diverged                 |x_n| exceeded DIVERGENCE_BOUND
+    diverged                 |x_n| exceeded DIVERGENCE_BOUND, or x_n is NaN
     domain_error             f was evaluated outside its domain
 
 ``denominator_breakdown`` and ``domain_error`` keep the error's message
-in ``IterationTrace.detail``.
+in ``IterationTrace.detail``; a NaN iterate names itself there.
 
 The trace is the one record of a run: ``iterates[n]`` holds x_n and
 f(x_n), and a run solved with a ``reference_root`` stores that root once
@@ -78,25 +78,13 @@ class IterationTrace:
     def final(self) -> TraceEntry:
         return self.iterates[-1]
 
-    # A fixed-count run of n steps is a prefix of a longer fixed-count run
-    # from the same start, so both methods below read the shorter run off
-    # ``self``, which must be a fixed-count run of at least n steps.
-
     def residual_at(self, n: int):
-        """|f| at the n-step run's final iterate: x_n, or where it stopped sooner."""
-        return abs(self.iterates[: n + 1][-1].fx)
+        """|f| at the n-step run's final iterate: x_n, or where it stopped sooner.
 
-    def status_at(self, n: int) -> str:
-        """The status a fixed-count run of ``n`` steps ends with.
-
-        A stop at or before step n (floor, breakdown, domain error,
-        divergence) ends both runs alike. A run that got past x_n, or broke
-        down or left the domain in step n + 1, completed x_n.
+        A fixed-count run of n steps is a prefix of a longer fixed-count run
+        from the same start, so ``self`` must be one of at least n steps.
         """
-        steps = len(self.iterates) - 1
-        if steps > n or (steps == n and self.status in (DENOMINATOR_BREAKDOWN, DOMAIN_ERROR)):
-            return FIXED_COUNT_COMPLETED
-        return self.status
+        return abs(self.iterates[: n + 1][-1].fx)
 
     def errors(self):
         """|x_n - root| for every entry, or None without a root or entries."""
@@ -156,8 +144,10 @@ def solve(
             x = stepper(counted, x, fx, ctx).next
             fx = counted(x, ctx)
             trace.iterates.append(TraceEntry(x, fx))
-            if abs(x) > bound:
+            if not abs(x) <= bound:  # so that a NaN iterate diverges too
                 trace.status = DIVERGED
+                if ctx.mp.isnan(x):
+                    trace.detail = f"x_{len(trace.iterates) - 1} is NaN"
                 break
         if not trace.status:
             if abs(fx) <= tol:

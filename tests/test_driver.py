@@ -4,6 +4,9 @@ and root refinement."""
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_expr import _ast_strategy
 
 from stefbench import (
     BUILTINS,
@@ -14,14 +17,18 @@ from stefbench import (
     DomainError,
     FIXED_COUNT_COMPLETED,
     MAX_ITERATIONS_REACHED,
+    METHOD_TAGS,
     MethodKind,
     RefinementError,
+    SUCCESS_STATUSES,
     SolveConfig,
     from_expression,
     refine_root,
     solve,
 )
 from stefbench.driver import MAX_ITERATIONS, _rungs
+from stefbench.expr import unparse
+from stefbench.methods import METHODS
 from stefbench.precision import PrecisionContext
 
 
@@ -32,6 +39,25 @@ def test_diverges_on_flat_functions_far_from_any_root(ctx):
     trace = solve("steffensen", from_expression("arctan(x)"), ctx.mpf(3), SolveConfig(), ctx)
     assert trace.status == DIVERGED
     assert abs(trace.final.x) > ctx.mpf("1e10")
+
+
+def _nan_above_five(x, c):
+    return c.mp.nan if x > 5 else x * x - 2
+
+
+@pytest.mark.parametrize(
+    "tag, cfg",
+    [("steffensen", SolveConfig()), ("mkdf", SolveConfig(fixed_iterations=3))],
+    ids=["tolerance", "fixed"],
+)
+def test_a_nan_iterate_diverges(tag, cfg):
+    # |nan| > bound is False, so a bound test that only asks that would let
+    # the run go on: to max_iterations_reached, or to a "completed" x = nan.
+    ctx = PrecisionContext(128)
+    trace = solve(tag, _nan_above_five, ctx.mpf(100), cfg, ctx)
+    assert trace.status == DIVERGED
+    assert trace.detail == "x_1 is NaN"
+    assert len(trace.iterates) == 2 and ctx.mp.isnan(trace.final.x)
 
 
 def test_domain_error_during_a_step(ctx):
@@ -91,6 +117,33 @@ def test_starting_at_the_root_short_circuits(ctx):
     assert trace.errors() == [0]
 
 
+_STATUSES = {
+    CONVERGED,
+    FIXED_COUNT_COMPLETED,
+    MAX_ITERATIONS_REACHED,
+    DENOMINATOR_BREAKDOWN,
+    DIVERGED,
+    DOMAIN_ERROR,
+}
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    ast=_ast_strategy(),
+    x0=st.floats(-4, 4),
+    tag=st.sampled_from(METHOD_TAGS),
+    cfg=st.sampled_from([SolveConfig(fixed_iterations=3), SolveConfig(max_iterations=8)]),
+)
+def test_every_run_ends_in_a_documented_status(ast, x0, tag, cfg):
+    ctx = PrecisionContext(64)
+    trace = solve(tag, from_expression(unparse(ast)), x0, cfg, ctx)
+    assert trace.status in _STATUSES
+    steps = cfg.fixed_iterations or cfg.max_iterations
+    assert trace.f_call_total <= 1 + steps * METHODS[tag].evals
+    if trace.status in SUCCESS_STATUSES:
+        assert ctx.mp.isfinite(trace.final.x)
+
+
 # -- fixed-count mode ---------------------------------------------------------
 
 
@@ -139,21 +192,22 @@ def test_each_point_is_evaluated_once(ctx):
         ("mkdf", "cos(x) - x", "1", CONVERGED),
     ],
 )
-def test_status_of_a_shorter_run_is_read_from_a_longer_one(tag, expr, x0, stop):
+def test_one_more_step_from_a_completed_run_continues_it(tag, expr, x0, stop):
+    # The replay's rule for n + 1 steps: a completed n-step run takes one
+    # more fixed step from x_n; any other status means it already stopped,
+    # so its final |f| is the longer run's too.
     ctx = PrecisionContext(128)
     f = from_expression(expr)
-    longer = solve(tag, f, ctx.mpf(x0), SolveConfig(fixed_iterations=6), ctx)
-    assert longer.status == stop
-    last = len(longer.iterates) - 1
-    if stop == CONVERGED:
-        assert longer.status_at(last - 1) == FIXED_COUNT_COMPLETED
-        assert longer.status_at(last) == longer.status_at(last + 1) == CONVERGED
-    else:
-        assert longer.status_at(last) == FIXED_COUNT_COMPLETED
-        assert longer.status_at(last + 1) == longer.status_at(6) == stop
-    for n in range(1, 7):
-        shorter = solve(tag, f, ctx.mpf(x0), SolveConfig(fixed_iterations=n), ctx)
-        assert longer.status_at(n) == shorter.status, n
+    stopped = set()
+    for n in range(1, 6):
+        run = solve(tag, f, ctx.mpf(x0), SolveConfig(fixed_iterations=n), ctx)
+        longer = solve(tag, f, ctx.mpf(x0), SolveConfig(fixed_iterations=n + 1), ctx)
+        if run.status == FIXED_COUNT_COMPLETED:
+            run = solve(tag, f, run.final.x, SolveConfig(fixed_iterations=1), ctx)
+        else:
+            stopped.add(run.status)
+        assert abs(run.final.fx) == abs(longer.final.fx), n
+    assert stopped == {stop}
 
 
 def test_jet_calls_are_counted_apart_from_f_calls(ctx):

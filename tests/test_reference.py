@@ -8,6 +8,7 @@ import pytest
 
 from stefbench import (
     BUILTINS,
+    FIXED_COUNT_COMPLETED,
     TABLE_METHODS,
     PrecisionContext,
     SolveConfig,
@@ -175,16 +176,22 @@ def test_diagnostics_can_be_disabled(ctx):
 
 
 def test_the_full_replay_solves_each_cell_once(monkeypatch):
-    calls = []
+    # Three steps per cell, and one more from x_3 for each diagnosed cell
+    # whose three-step run completed; the others stopped sooner.
+    steps = []
 
     def counting_solve(*args, **kwargs):
-        calls.append(args[0])
+        steps.append(args[3].fixed_iterations)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr("stefbench.reference.solve", counting_solve)
     report = run_benchmark(PrecisionContext(128))
-    assert report.diagnostics
-    assert len(calls) == report.total == 49
+    diagnosed = {d.cell for d in report.diagnostics}
+    completed = [
+        r for r in report.records if r.cell in diagnosed and r.status == FIXED_COUNT_COMPLETED
+    ]
+    assert (report.total, len(diagnosed), len(completed)) == (49, 31, 23)
+    assert collections.Counter(steps) == {3: 49, 1: 23}
 
 
 def _direct(cell, method, n, ctx):
@@ -196,16 +203,19 @@ def _direct(cell, method, n, ctx):
 
 @pytest.mark.parametrize(
     "selection",
-    [{}, {"methods": ["mkdf"]}],
-    ids=["all", "mkdf-without-siblings"],
+    [{}, {"methods": ["mkdf"]}, {"tolerance_orders": 0}],
+    ids=["all", "mkdf-without-siblings", "every-cell-diagnosed"],
 )
 def test_the_replay_equals_direct_runs_of_each_count(selection):
-    # The replay reads every residual and status off one longer run per
-    # cell; each must be what a direct run of that many steps gives.
+    # The replay reads the residuals at n <= 3 off one three-step run per
+    # cell and continues it for n = 4; each must be what a direct run of
+    # that many steps gives.
     ctx = PrecisionContext(128)
     report = run_benchmark(ctx, **selection)
     diagnosed = {d.cell: d for d in report.diagnostics}
     assert diagnosed
+    if "tolerance_orders" in selection:
+        assert len(diagnosed) == report.total
     for record in report.records:
         cell = record.cell
         assert (record.computed_value, record.status) == _direct(cell, cell.method, 3, ctx)
@@ -227,8 +237,9 @@ def test_the_replay_equals_direct_runs_of_each_count(selection):
             for tag in TABLE_METHODS
             if tag != cell.method
         ]
+        tol = selection.get("tolerance_orders", 2)
         assert diagnosed[cell].alt_methods == [
-            (tag, d) for tag, d in siblings if d is not None and abs(d) <= 2
+            (tag, d) for tag, d in siblings if d is not None and abs(d) <= tol
         ]
 
 

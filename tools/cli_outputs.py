@@ -34,6 +34,12 @@ def _commands():
     for output in ("text", "json", "csv"):
         yield ["bench", "--output", output], {}
     yield ["bench", "--output", "json", "--precision-bits", "2048"], {}
+    # Every cell diagnosed: at 128 bits some runs stop at the convergence
+    # floor within three steps, and the rest take a fourth step from x_3.
+    for bits in ("512", "128"):
+        yield ["bench", "--output", "json", "--tolerance-orders", "0", "--precision-bits", bits], {}
+    # Siblings solved for the diagnostics alone.
+    yield ["bench", "--output", "json", "--method", "dehghan1"], {}
     for method in METHODS:
         for name in BUILTINS:
             yield ["solve", "--method", method, "--function", name, "--format", "json"], {}
