@@ -50,7 +50,7 @@ def format_paper(x, ctx) -> str:
         return "0.00000e+0"
     sign = "-" if x < 0 else ""
     m = abs(x)
-    e = int(mp.floor(mp.log10(m))) + 1
+    e = int(mp.floor(ctx.log10(m))) + 1
     digits = int(mp.nint(m * mp.mpf(10) ** (5 - e)))
     if digits >= 10**5:
         # The mantissa rounded up to 1.0; renormalize.

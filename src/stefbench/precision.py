@@ -35,6 +35,8 @@ class PrecisionContext:
     ``usable_floor`` = 2^(-0.8 * bits): smallest error |e_n| that still
     carries order information. Only the order analysis reads it, so it is
     computed on first use.
+    ``ln10`` = ln 10 at bits + 20, the guard precision of mpmath's
+    ``log(x, 10)``: the divisor of ``log10``, also computed on first use.
     """
 
     def __init__(self, bits: int):
@@ -59,6 +61,10 @@ class PrecisionContext:
     def usable_floor(self):
         mp = self.mp
         return mp.mpf(2) ** (-mp.mpf(4 * self.bits) / 5)
+
+    @cached_property
+    def ln10(self):
+        return self.mp.ln(10, prec=self.bits + 20)
 
     # -- construction -------------------------------------------------
 
@@ -108,6 +114,16 @@ class PrecisionContext:
         if x <= 0:
             raise DomainError(f"ln of non-positive value {self.nstr(x)}")
         return self.mp.ln(x)
+
+    def log10(self, x):
+        """log10 x, bit for bit as ``mp.log10`` gives it, with ln 10 computed once.
+
+        mpmath defines it as ln(x) / ln(10), both taken 20 bits above the
+        working precision; its own ``log10`` recomputes ln(10) every call.
+        """
+        if x <= 0:
+            raise DomainError(f"log10 of non-positive value {self.nstr(x)}")
+        return self.mp.ln(x, prec=self.bits + 20) / self.ln10
 
     def atan(self, x):
         return self.mp.atan(x)

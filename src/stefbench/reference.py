@@ -13,7 +13,11 @@ net on purpose: at fourth order, a last-place difference in x_2 moves
 bar. Cells that still miss it get diagnostics: the residual at nearby
 iteration counts, and the same table's other columns, are compared with
 the reference value, which localizes transcription-style anomalies in the
-reference data without editing it.
+reference data without editing it. A diagnostic probe is scored only where
+its value could be kept: when the binary exponent of residual / reference
+alone puts a probe beyond its test (the tolerance for a sibling, the
+cell's own discrepancy for a nearby count), it is dropped before its
+logarithm is taken, so no emitted value changes.
 
 Every published table uses ``TABLE_ITERATIONS`` = 3 steps. Each cell is
 solved once, as a fixed-count run of 3 steps, and its trace kept: the
@@ -120,10 +124,23 @@ def _key(cell: ReferenceCell, method: str):
     return cell.table_id, cell.function, cell.x0, method
 
 
-def _discrepancy(computed, paper, ctx):
+def _discrepancy(computed, paper, ctx, beyond=None):
+    """log10(computed / paper), or None if either is 0.
+
+    With ``beyond`` given, also None when the binary exponent of the
+    quotient q alone shows that |log10 q| > ``beyond``. With m = mag(q),
+    2^(m-1) <= q < 2^m, so |log10 q| >= (|m| - 1) log10 2. The test asks
+    (|m| - 2) log10 2 > ``beyond``, a bit short of that bound: a margin that
+    no rounding of the test or of the logarithm crosses while |m| < 2^(bits-4).
+    """
     if computed == 0 or paper == 0:
         return None
-    return ctx.mp.log10(computed / paper)
+    q = computed / paper
+    if beyond is not None:
+        m = abs(ctx.mp.mag(q))
+        if m < 2 ** (ctx.bits - 4) and (m - 2) * ctx.mp.ln2 > beyond * ctx.ln10:
+            return None
+    return ctx.log10(q)
 
 
 def run_benchmark(
@@ -156,11 +173,12 @@ def run_benchmark(
     # The three-step trace of every cell run, per (table, function, x0, method).
     traces = {}
     records = []
-    for cell in cells:
+    papers = [ctx.mpf(cell.paper_value) for cell in cells]
+    for cell, paper in zip(cells, papers):
         trace = _run(cell, cell.method, cell.x0, TABLE_ITERATIONS, ctx)
         traces[_key(cell, cell.method)] = trace
         computed = abs(trace.final.fx)
-        disc = _discrepancy(computed, ctx.mpf(cell.paper_value), ctx)
+        disc = _discrepancy(computed, paper, ctx)
         match = disc is not None and abs(disc) <= tol
         records.append(
             BenchmarkRecord(
@@ -174,11 +192,10 @@ def run_benchmark(
 
     diagnostics = []
     if with_diagnostics:
-        for record in records:
+        for record, paper in zip(records, papers):
             if record.match:
                 continue
             cell = record.cell
-            paper = ctx.mpf(cell.paper_value)
             base = abs(record.log10_discrepancy) if record.log10_discrepancy is not None else None
             own = traces[_key(cell, cell.method)]
             better = []
@@ -189,7 +206,7 @@ def run_benchmark(
                 if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
                     more = _run(cell, cell.method, own.final.x, n - TABLE_ITERATIONS, ctx)
                     residual = abs(more.final.fx)
-                alt_disc = _discrepancy(residual, paper, ctx)
+                alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
                 if alt_disc is None:
                     continue
                 if base is None or abs(alt_disc) < base:
@@ -201,7 +218,7 @@ def run_benchmark(
                 key = _key(cell, tag)
                 if key not in traces:
                     traces[key] = _run(cell, tag, cell.x0, TABLE_ITERATIONS, ctx)
-                alt_disc = _discrepancy(abs(traces[key].final.fx), paper, ctx)
+                alt_disc = _discrepancy(abs(traces[key].final.fx), paper, ctx, beyond=tol)
                 if alt_disc is not None and abs(alt_disc) <= tol:
                     alts.append((tag, alt_disc))
             diagnostics.append(

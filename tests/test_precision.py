@@ -1,6 +1,8 @@
 """PrecisionContext: validation, floors, eps, domain guards, rendering."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stefbench import (
     BUILTINS,
@@ -70,6 +72,9 @@ def test_domain_guards(ctx):
         ctx.ln(ctx.mpf(-1))
     with pytest.raises(DomainError):
         ctx.sqrt(ctx.mpf(-1))
+    for bad in (zero, ctx.mpf(-1), -ctx.eps, -ctx.mp.inf):
+        with pytest.raises(DomainError):
+            ctx.log10(bad)
     assert ctx.sqrt(zero) == 0
     assert ctx.atan(ctx.mpf(-3)) < 0
 
@@ -81,6 +86,30 @@ def test_usable_floor_is_computed_on_first_use():
     floor = c.usable_floor
     assert floor._mpf_ == (c.mpf(2) ** (-c.mpf(4 * 1024) / 5))._mpf_
     assert c.__dict__["usable_floor"] is floor
+
+
+_LOG10_CONTEXTS = {bits: PrecisionContext(bits) for bits in (64, 512, 2048)}
+
+
+@pytest.mark.parametrize("bits", sorted(_LOG10_CONTEXTS))
+@settings(max_examples=150, deadline=None)
+@given(
+    mantissa=st.integers(min_value=1, max_value=2**2048 - 1),
+    exponent=st.integers(min_value=-9000, max_value=9000),
+    power=st.integers(min_value=-400, max_value=400),
+    ulps=st.integers(min_value=-64, max_value=64),
+)
+@example(mantissa=1, exponent=0, power=0, ulps=1)
+@example(mantissa=1, exponent=0, power=0, ulps=-1)
+@example(mantissa=10, exponent=0, power=1, ulps=0)
+def test_log10_is_mpmaths_bit_for_bit(bits, mantissa, exponent, power, ulps):
+    # A binary value anywhere in range, and a power of ten (1 when power
+    # is 0) moved by a few units in the last place, where the quotient of
+    # the two logarithms is nearest an integer.
+    c = _LOG10_CONTEXTS[bits]
+    ten = c.mpf(10) ** power
+    for x in (c.mp.ldexp(c.mpf(mantissa), exponent), ten + ulps * c.eps * ten):
+        assert c.log10(x) == c.mp.log10(x)
 
 
 @pytest.mark.parametrize("name", ["exp", "sin", "cos", "cos_sin"])

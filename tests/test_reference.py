@@ -194,6 +194,23 @@ def test_the_full_replay_solves_each_cell_once(monkeypatch):
     assert collections.Counter(steps) == {3: 49, 1: 23}
 
 
+def test_the_replay_takes_a_logarithm_only_where_it_can_count(monkeypatch):
+    # 49 records and 68 kept diagnostic entries, plus 15 entries whose
+    # quotient exponent does not decide them, of 292 discrepancies a
+    # replay that scored every probe would take.
+    calls = []
+    log10 = PrecisionContext.log10
+
+    def counting_log10(self, x):
+        calls.append(x)
+        return log10(self, x)
+
+    monkeypatch.setattr(PrecisionContext, "log10", counting_log10)
+    report = run_benchmark(PrecisionContext(512))
+    kept = sum(len(d.better_counts) + len(d.alt_methods) for d in report.diagnostics)
+    assert (report.total, kept, len(calls)) == (49, 68, 132)
+
+
 def _direct(cell, method, n, ctx):
     """|f(x_n)| and status of a run of exactly n steps."""
     f = BUILTINS[cell.function]
@@ -203,18 +220,27 @@ def _direct(cell, method, n, ctx):
 
 @pytest.mark.parametrize(
     "selection",
-    [{}, {"methods": ["mkdf"]}, {"tolerance_orders": 0}],
-    ids=["all", "mkdf-without-siblings", "every-cell-diagnosed"],
+    [
+        {},
+        {"methods": ["mkdf"]},
+        {"tolerance_orders": 0},
+        {"tolerance_orders": 0.5},
+        {"tolerance_orders": 5},
+        {"tolerance_orders": 40},
+    ],
+    ids=["all", "mkdf-without-siblings", "every-cell-diagnosed", "tol-0.5", "tol-5", "tol-40"],
 )
 def test_the_replay_equals_direct_runs_of_each_count(selection):
     # The replay reads the residuals at n <= 3 off one three-step run per
     # cell and continues it for n = 4; each must be what a direct run of
-    # that many steps gives.
+    # that many steps gives. The oracle takes every nearby and sibling
+    # logarithm, so it also pins that no entry the replay rules out by its
+    # quotient's exponent would have been kept.
     ctx = PrecisionContext(128)
     report = run_benchmark(ctx, **selection)
     diagnosed = {d.cell: d for d in report.diagnostics}
     assert diagnosed
-    if "tolerance_orders" in selection:
+    if selection.get("tolerance_orders") == 0:
         assert len(diagnosed) == report.total
     for record in report.records:
         cell = record.cell

@@ -38,6 +38,10 @@ def _commands():
     # floor within three steps, and the rest take a fourth step from x_3.
     for bits in ("512", "128"):
         yield ["bench", "--output", "json", "--tolerance-orders", "0", "--precision-bits", bits], {}
+    # Wide nets, where a sibling's or a nearby count's quotient exponent
+    # decides more of the diagnostics than at the default 2 orders.
+    for orders in ("5", "40"):
+        yield ["bench", "--output", "json", "--tolerance-orders", orders], {}
     # Siblings solved for the diagnostics alone.
     yield ["bench", "--output", "json", "--method", "dehghan1"], {}
     for method in METHODS:
