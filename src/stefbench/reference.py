@@ -28,6 +28,13 @@ from x_3, but only when its run completed; any other status means the
 run already stopped, and its final |f| is the answer. A sibling column is
 read from the trace of a cell already run, and is solved only when the
 selection filtered its cell out.
+
+Each point is evaluated once per replay. The methods of a table start
+from the same x0, many take the same first-step points, and the n = 4
+step starts at x_3 again, so ``run_benchmark`` passes each function
+through a memo keyed by the point's exact bits, made for that call
+alone. ``f_call_total`` keeps its meaning: every trace counts its
+formulas' f-calls, as a direct run of the same cell would.
 """
 
 from __future__ import annotations
@@ -114,10 +121,33 @@ def load_reference_cells() -> list:
     return cells
 
 
-def _run(cell: ReferenceCell, method: str, x0, steps, ctx: PrecisionContext) -> IterationTrace:
-    """One fixed-count run of ``method`` on ``cell``'s function from ``x0``."""
+class _PointMemo:
+    """``fn`` evaluated once per point: values are kept by x's exact bits.
+
+    f(x, ctx) depends only on those bits at one context's precision, so a
+    memo serves one context; ``run_benchmark`` makes one per function for
+    a single call. A point where ``fn`` raises stores nothing and raises
+    again when asked again. ``eval_jet`` is forwarded uncached.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.values = {}
+
+    def __call__(self, x, ctx):
+        value = self.values.get(x._mpf_)
+        if value is None:
+            value = self.values[x._mpf_] = self.fn(x, ctx)
+        return value
+
+    def eval_jet(self, p, order: int, ctx):
+        return self.fn.eval_jet(p, order, ctx)
+
+
+def _run(f, method: str, x0, steps, ctx: PrecisionContext) -> IterationTrace:
+    """One fixed-count run of ``method`` on ``f`` from ``x0``."""
     cfg = SolveConfig(fixed_iterations=steps)
-    return solve(MethodKind(method), get_function(cell.function), x0, cfg, ctx)
+    return solve(MethodKind(method), f, x0, cfg, ctx)
 
 
 def _key(cell: ReferenceCell, method: str):
@@ -170,12 +200,15 @@ def run_benchmark(
         wanted = set(functions)
         cells = [c for c in cells if c.function in wanted]
 
+    # The methods of a table share x0 and many first-step points. The memos
+    # live for this call only; one kept past it would outlive its context.
+    memos = {name: _PointMemo(get_function(name)) for name in {c.function for c in cells}}
     # The three-step trace of every cell run, per (table, function, x0, method).
     traces = {}
     records = []
     papers = [ctx.mpf(cell.paper_value) for cell in cells]
     for cell, paper in zip(cells, papers):
-        trace = _run(cell, cell.method, cell.x0, TABLE_ITERATIONS, ctx)
+        trace = _run(memos[cell.function], cell.method, cell.x0, TABLE_ITERATIONS, ctx)
         traces[_key(cell, cell.method)] = trace
         computed = abs(trace.final.fx)
         disc = _discrepancy(computed, paper, ctx)
@@ -198,13 +231,14 @@ def run_benchmark(
             cell = record.cell
             base = abs(record.log10_discrepancy) if record.log10_discrepancy is not None else None
             own = traces[_key(cell, cell.method)]
+            f = memos[cell.function]
             better = []
             for n in _NEARBY_COUNTS:
                 # Past x_3, a completed run takes more steps from x_3; any
                 # other status means it stopped, so its final |f| is the answer.
                 residual = own.residual_at(n)
                 if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
-                    more = _run(cell, cell.method, own.final.x, n - TABLE_ITERATIONS, ctx)
+                    more = _run(f, cell.method, own.final.x, n - TABLE_ITERATIONS, ctx)
                     residual = abs(more.final.fx)
                 alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
                 if alt_disc is None:
@@ -217,7 +251,7 @@ def run_benchmark(
                     continue
                 key = _key(cell, tag)
                 if key not in traces:
-                    traces[key] = _run(cell, tag, cell.x0, TABLE_ITERATIONS, ctx)
+                    traces[key] = _run(f, tag, cell.x0, TABLE_ITERATIONS, ctx)
                 alt_disc = _discrepancy(abs(traces[key].final.fx), paper, ctx, beyond=tol)
                 if alt_disc is not None and abs(alt_disc) <= tol:
                     alts.append((tag, alt_disc))

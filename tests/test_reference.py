@@ -2,24 +2,34 @@
 
 import collections
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import stefbench
 from stefbench import (
     BUILTINS,
     FIXED_COUNT_COMPLETED,
     TABLE_METHODS,
+    CountingFunction,
+    DomainError,
     PrecisionContext,
+    ScalarFunction,
     SolveConfig,
     StepOutcome,
     dehghan1_step,
     dehghan2_step,
+    from_expression,
     load_reference_cells,
     run_benchmark,
     solve,
 )
 from stefbench.cli import format_paper
+from stefbench.reference import _PointMemo
 
 TABLE_FUNCTIONS = {2: "f1", 3: "f2", 4: "f3", 5: "f4", 6: "f5", 7: "f6", 8: "f7"}
 TABLE_STARTS = {2: "1", 3: "0.7", 4: "1", 5: "1", 6: "1", 7: "1", 8: "3.6"}
@@ -209,6 +219,105 @@ def test_the_replay_takes_a_logarithm_only_where_it_can_count(monkeypatch):
     report = run_benchmark(PrecisionContext(512))
     kept = sum(len(d.better_counts) + len(d.alt_methods) for d in report.diagnostics)
     assert (report.total, kept, len(calls)) == (49, 68, 132)
+
+
+# -- one f-evaluation per point -------------------------------------------------
+
+
+def test_the_point_memo_returns_fs_value_bit_for_bit(ctx):
+    f = CountingFunction(BUILTINS["f5"])
+    memo = _PointMemo(f)
+    first = memo(ctx.mpf("0.7"), ctx)
+    assert first._mpf_ == BUILTINS["f5"](ctx.mpf("0.7"), ctx)._mpf_
+    assert memo(ctx.mpf("0.7"), ctx) is first
+    assert f.calls == 1
+
+
+def test_the_point_memo_stores_nothing_where_f_raises(ctx):
+    memo = _PointMemo(from_expression("ln(x)"))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DomainError) as raised:
+            memo(ctx.mpf(-1), ctx)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert memo.values == {}
+
+
+def test_the_point_memo_forwards_jets_uncached(ctx):
+    f = CountingFunction(BUILTINS["f3"])
+    memo = _PointMemo(f)
+    jets = [memo.eval_jet(ctx.mpf(1), 2, ctx) for _ in range(2)]
+    assert (f.jet_calls, f.calls, memo.values) == (2, 0, {})
+    expected = BUILTINS["f3"].eval_jet(ctx.mpf(1), 2, ctx).coeffs
+    assert all(jet.coeffs == expected for jet in jets)
+
+
+def test_the_replay_evaluates_each_point_once(monkeypatch):
+    # The formulas' 765 f-calls per 512-bit replay land on 597 distinct
+    # (function, point) pairs: the methods of a table share x0 and many
+    # first-step points, and the n = 4 probe starts from x_3 again.
+    evaluated = []
+    runs = []
+    call = ScalarFunction.__call__
+
+    def recording_call(self, x, ctx):
+        evaluated.append((self.name, x._mpf_))
+        return call(self, x, ctx)
+
+    def recording_solve(*args):
+        trace = solve(*args)
+        runs.append((args, trace))
+        return trace
+
+    monkeypatch.setattr(ScalarFunction, "__call__", recording_call)
+    monkeypatch.setattr("stefbench.reference.solve", recording_solve)
+    run_benchmark(PrecisionContext(512))
+    monkeypatch.undo()
+    assert len(set(evaluated)) == len(evaluated) == 597
+    # Each run is the one a memo-less solve gives, f-calls included.
+    direct = []
+    for (method, memo, x0, cfg, ctx), trace in runs:
+        plain = solve(method, memo.fn, x0, cfg, ctx)
+        assert (plain.iterates, plain.status) == (trace.iterates, trace.status)
+        direct.append(plain.f_call_total)
+    assert sum(direct) == sum(trace.f_call_total for _, trace in runs) == 765
+
+
+_LAST_REPLAY = """
+import sys
+from stefbench import PrecisionContext, run_benchmark
+
+for bits in sys.argv[1:]:
+    report = run_benchmark(PrecisionContext(int(bits)))
+
+def exact(v):
+    return getattr(v, "_mpf_", v)
+
+for r in report.records:
+    print(r.status, r.match, exact(r.computed_value), exact(r.log10_discrepancy))
+for d in report.diagnostics:
+    print([(n, exact(v)) for n, v in d.better_counts], [(t, exact(v)) for t, v in d.alt_methods])
+"""
+
+
+def _last_replay(*bits):
+    """The exact records and diagnostics of the last of replays run in one fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(stefbench.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", _LAST_REPLAY, *map(str, bits)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return done.stdout
+
+
+def test_no_replay_state_outlives_its_call():
+    # f(1) at 128 bits is not f(1) at 512 bits, though the point's bits
+    # are the same: a memo kept past its call would hand the 128-bit value
+    # to the 512-bit replay. Fresh processes keep other tests' replays out.
+    alone = _last_replay(512)
+    assert alone.count("\n") == 49 + 27
+    assert _last_replay(128, 512) == alone
 
 
 def _direct(cell, method, n, ctx):

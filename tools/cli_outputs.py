@@ -44,6 +44,11 @@ def _commands():
         yield ["bench", "--output", "json", "--tolerance-orders", orders], {}
     # Siblings solved for the diagnostics alone.
     yield ["bench", "--output", "json", "--method", "dehghan1"], {}
+    # One table, one function at 2048 bits, and a precision at which some
+    # runs stop early: the replay's shared points differ in each.
+    yield ["bench", "--output", "json", "--table", "6"], {}
+    yield ["bench", "--output", "json", "--function", "f5", "--precision-bits", "2048"], {}
+    yield ["bench", "--output", "json", "--precision-bits", "64"], {}
     for method in METHODS:
         for name in BUILTINS:
             yield ["solve", "--method", method, "--function", name, "--format", "json"], {}
