@@ -1,4 +1,4 @@
-"""Convergence diagnostics: COC, error ratios, and the asymptotic constant.
+"""Convergence diagnostics: COC, error ratios, and mkdf's asymptotic constant.
 
 The computational order of convergence for a trace with errors e_n is
 
@@ -28,7 +28,7 @@ class CocEstimate:
 @dataclass
 class ErrorConstantReport:
     c: list
-    formula_value: object
+    formula_value: object  # mkdf's K
     empirical_ratios: list
     agreement: object  # |last empirical ratio| / |formula_value|, or None
 
@@ -100,16 +100,16 @@ def empirical_ratio(trace, order: int, ctx: PrecisionContext) -> list:
 
 
 def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorConstantReport:
-    """Taylor coefficients at the root and the fourth-order constant.
+    """Taylor coefficients at the root and mkdf's fourth-order constant K.
 
-    With c_k = f^(k)(x*) / k! the reported formula value is
+    With c_k = f^(k)(x*) / k!, expanding mkdf's update about the root
+    gives e_{n+1} = K e_n^4 + O(e_n^5) with
 
-        -4*c1*c4 - 3*c2*c3 - 11*c4/c1 - 2*c2^3/c1^3 - 17*c2*c3/c1^2
+        K = -c2*(c1^3*c3 + c1*c3 - 3*c2^2) / c1^3
 
-    The empirical side, when a trace is supplied, is e_{n+1}/e_n^4 per
-    usable step. The two are reported side by side as a diagnostic; nothing
-    here asserts they agree, and for the test functions they generally do
-    not. The robust, asserted claim is the order itself (see coc).
+    K has no c4 term; c4 is reported beside it. The empirical side, when a
+    trace is supplied, is e_{n+1}/e_n^4 per usable step, and for an mkdf
+    run its last ratio tends to K, so the agreement tends to 1.
 
     The root is ``root``, else the trace's reference root; this function
     never solves for one, so a caller without a root refines it first.
@@ -127,13 +127,7 @@ def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorCons
             f"|f'(root)| = {ctx.nstr(abs(c1))} is below the breakdown floor; "
             "the root is not simple at working precision"
         )
-    formula = (
-        -4 * c1 * c4
-        - 3 * c2 * c3
-        - 11 * c4 / c1
-        - 2 * c2 ** 3 / c1 ** 3
-        - 17 * c2 * c3 / c1 ** 2
-    )
+    formula = -c2 * (c1 ** 3 * c3 + c1 * c3 - 3 * c2 ** 2) / c1 ** 3
     ratios = [] if trace is None else empirical_ratio(trace, 4, ctx)
     agreement = None
     if ratios and formula != 0:

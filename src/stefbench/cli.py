@@ -94,12 +94,11 @@ def _parse_theta(text):
 
 
 def _make_kind(args) -> MethodKind:
-    theta = getattr(args, "theta", None)
-    return MethodKind(args.method, None if theta is None else _parse_theta(theta))
+    return MethodKind(args.method, None if args.theta is None else _parse_theta(args.theta))
 
 
 def _resolve_function(args):
-    if getattr(args, "expr", None) is not None:
+    if args.expr is not None:
         return from_expression(args.expr)
     return get_function(args.function)
 
@@ -304,7 +303,6 @@ def cmd_constant(args) -> int:
         print("agreement |empirical/formula|: n/a")
     else:
         print(f"agreement |empirical/formula|: {ctx.nstr(report.agreement, 5)}")
-    print("(diagnostic only: the formula constant is reported, not asserted)")
     return 0
 
 

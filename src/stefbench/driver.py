@@ -78,14 +78,6 @@ class IterationTrace:
     def final(self) -> TraceEntry:
         return self.iterates[-1]
 
-    def residual_at(self, n: int):
-        """|f| at the n-step run's final iterate: x_n, or where it stopped sooner.
-
-        A fixed-count run of n steps is a prefix of a longer fixed-count run
-        from the same start, so ``self`` must be one of at least n steps.
-        """
-        return abs(self.iterates[: n + 1][-1].fx)
-
     def errors(self):
         """|x_n - root| for every entry, or None without a root or entries."""
         if not self.iterates or self.root is None:

@@ -146,8 +146,6 @@ def jet_exp(u: TaylorJet) -> TaylorJet:
 
 
 def jet_ln(u: TaylorJet) -> TaylorJet:
-    if u.coeffs[0] <= 0:
-        raise DomainError("ln of a series with non-positive constant term")
     return _du_over(u, u.coeffs, u.ctx.ln(u.coeffs[0]))
 
 

@@ -23,11 +23,12 @@ Every published table uses ``TABLE_ITERATIONS`` = 3 steps. Each cell is
 solved once, as a fixed-count run of 3 steps, and its trace kept: the
 record's residual and status are that run's own. A shorter fixed-count
 run is a prefix of a longer one, so a diagnosed cell reads its residuals
-at n = 1 and 2 off that trace. For n = 4 it takes one more fixed step
-from x_3, but only when its run completed; any other status means the
-run already stopped, and its final |f| is the answer. A sibling column is
-read from the trace of a cell already run, and is solved only when the
-selection filtered its cell out.
+at n = 1 and 2 off that trace's first n + 1 entries; the read lives
+here, because only the replay knows its traces are such runs. For n = 4
+it takes one more fixed step from x_3, but only when its run completed;
+any other status means the run already stopped, and its final |f| is
+the answer. A sibling column is read from the trace of a cell already
+run, and is solved only when the selection filtered its cell out.
 
 Each point is evaluated once per replay. The methods of a table start
 from the same x0, many take the same first-step points, and the n = 4
@@ -45,7 +46,7 @@ from importlib import resources
 
 from .driver import FIXED_COUNT_COMPLETED, IterationTrace, SolveConfig, solve
 from .functions import get_function
-from .methods import TABLE_METHODS, MethodKind
+from .methods import TABLE_METHODS
 from .precision import PrecisionContext
 
 _DATA_PACKAGE = "stefbench.data"
@@ -127,7 +128,8 @@ class _PointMemo:
     f(x, ctx) depends only on those bits at one context's precision, so a
     memo serves one context; ``run_benchmark`` makes one per function for
     a single call. A point where ``fn`` raises stores nothing and raises
-    again when asked again. ``eval_jet`` is forwarded uncached.
+    again when asked again. No table method evaluates a jet, so the memo
+    offers none.
     """
 
     def __init__(self, fn):
@@ -140,14 +142,11 @@ class _PointMemo:
             value = self.values[x._mpf_] = self.fn(x, ctx)
         return value
 
-    def eval_jet(self, p, order: int, ctx):
-        return self.fn.eval_jet(p, order, ctx)
-
 
 def _run(f, method: str, x0, steps, ctx: PrecisionContext) -> IterationTrace:
     """One fixed-count run of ``method`` on ``f`` from ``x0``."""
     cfg = SolveConfig(fixed_iterations=steps)
-    return solve(MethodKind(method), f, x0, cfg, ctx)
+    return solve(method, f, x0, cfg, ctx)
 
 
 def _key(cell: ReferenceCell, method: str):
@@ -234,9 +233,10 @@ def run_benchmark(
             f = memos[cell.function]
             better = []
             for n in _NEARBY_COUNTS:
-                # Past x_3, a completed run takes more steps from x_3; any
-                # other status means it stopped, so its final |f| is the answer.
-                residual = own.residual_at(n)
+                # Up to x_3, the n-step run is a prefix of this one. Past x_3,
+                # a completed run takes more steps from x_3; any other status
+                # means it stopped, so its final |f| is the answer.
+                residual = abs(own.iterates[: n + 1][-1].fx)
                 if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
                     more = _run(f, cell.method, own.final.x, n - TABLE_ITERATIONS, ctx)
                     residual = abs(more.final.fx)

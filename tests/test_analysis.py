@@ -193,13 +193,13 @@ def test_ratio_validation(ctx):
 
 
 def test_error_constant_formula_on_a_polynomial(ctx):
-    # c = (1, 1, 0, 0) collapses the formula to -2 c2^3 / c1^3 = -2 exactly.
+    # c = (1, 1, 0, 0) collapses mkdf's K to 3 c2^3 / c1^3 = 3 exactly.
     report = error_constant(from_expression("x + x^2"), ctx, root=ctx.mpf(0))
     assert report.c[0] == 1
     assert report.c[1] == 1
     assert report.c[2] == 0
     assert report.c[3] == 0
-    assert report.formula_value == -2
+    assert report.formula_value == 3
     assert report.empirical_ratios == []
     assert report.agreement is None
 
@@ -243,15 +243,16 @@ def test_error_constant_root_resolution(ctx, roots):
 
 
 def test_error_constant_reports_both_sides_for_mkdf(ctx, roots):
-    f = BUILTINS["f1"]
-    trace = solve(
-        "mkdf", f, ctx.mpf(1), SolveConfig(fixed_iterations=6), ctx, reference_root=roots["f1"]
-    )
-    report = error_constant(f, ctx, trace=trace)
-    assert len(report.empirical_ratios) >= 2
-    # Diagnostic, not asserted in general; for f1 the two sides happen to
-    # sit within a factor of two, pinned here as a regression canary.
-    assert ctx.mpf("0.5") < report.agreement < ctx.mpf("2")
+    # Six mkdf steps from each built-in's table x0, as `constant` runs them:
+    # the last e(n+1)/e(n)^4 has reached K. The widest gap is f2's 1.9e-7.
+    for name, f in BUILTINS.items():
+        trace = solve(
+            "mkdf", f, ctx.mpf(f.default_x0), SolveConfig(fixed_iterations=6), ctx,
+            reference_root=roots[name],
+        )
+        report = error_constant(f, ctx, trace=trace)
+        assert len(report.empirical_ratios) >= 2, name
+        assert abs(report.agreement - 1) < ctx.mpf("1e-6"), name
 
 
 # -- stencil cross-check ----------------------------------------------------------

@@ -502,8 +502,8 @@ def test_constant_on_a_quadratic(capsys):
     rc = main(["constant", "--expr", "x + x^2"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "formula value = -0.20000e+1" in out
-    assert "(diagnostic only" in out
+    assert "formula value = 0.30000e+1" in out
+    assert "agreement |empirical/formula|: 1.0" in out
 
 
 def test_constant_on_a_builtin(capsys):

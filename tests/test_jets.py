@@ -119,6 +119,10 @@ def test_atan_at_one(ctx, close):
 def test_ln_and_sqrt_domain_guards(ctx):
     with pytest.raises(DomainError):
         jet_ln(seed_jet(ctx.mpf(0), 3, ctx))
+    # jet_ln's guard is PrecisionContext.ln's, so the message is the scalar path's.
+    with pytest.raises(DomainError) as raised:
+        from_expression("ln(x)").eval_jet(ctx.mpf(-1), 2, ctx)
+    assert str(raised.value) == "ln of non-positive value -1.0 in 'ln(x)'"
     with pytest.raises(DomainError):
         jet_sqrt(seed_jet(ctx.mpf(-1), 3, ctx))
 

@@ -311,3 +311,6 @@ def test_the_registry_is_the_one_source_of_method_facts(ctx):
         x0 = ctx.mpf(1)
         MethodKind(tag).stepper()(counter, x0, counter(x0, ctx), ctx)
         assert counter.calls == method.evals, tag
+        # The replay's point memo offers no jets: no table method asks for one.
+        if method.in_tables:
+            assert counter.jet_calls == 0, tag

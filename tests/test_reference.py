@@ -244,15 +244,6 @@ def test_the_point_memo_stores_nothing_where_f_raises(ctx):
     assert memo.values == {}
 
 
-def test_the_point_memo_forwards_jets_uncached(ctx):
-    f = CountingFunction(BUILTINS["f3"])
-    memo = _PointMemo(f)
-    jets = [memo.eval_jet(ctx.mpf(1), 2, ctx) for _ in range(2)]
-    assert (f.jet_calls, f.calls, memo.values) == (2, 0, {})
-    expected = BUILTINS["f3"].eval_jet(ctx.mpf(1), 2, ctx).coeffs
-    assert all(jet.coeffs == expected for jet in jets)
-
-
 def test_the_replay_evaluates_each_point_once(monkeypatch):
     # The formulas' 765 f-calls per 512-bit replay land on 597 distinct
     # (function, point) pairs: the methods of a table share x0 and many

@@ -85,6 +85,11 @@ def _commands():
     yield ["solve", "--method", "steffensen", "--expr", "ln(x)", "--x0", "0.5"], {}
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1"], {}
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1", "--format", "csv"], {}
+    # Parse errors: a missing operand, a non-integer exponent, an unknown
+    # function and an unknown character.
+    for expr in ("x +", "x^0.5", "foo(x)"):
+        yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", "1"], {}
+    yield ["constant", "--expr", "2 $ x"], {}
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "0"], {}
     yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "3", "--tol", "1e-3"], {}
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3",
