@@ -16,7 +16,9 @@ Exit codes: 0 success, 1 numerical failure (non-convergence, breakdown,
 benchmark below threshold, a root that cannot be refined or analysed,
 such as a domain error at the root in ``constant``), 2 usage error. Any
 other ``StefbenchError`` is a numerical failure; ``ValueError``,
-``InvalidPrecisionError`` and ``ParseError`` are usage errors.
+``InvalidPrecisionError`` and ``ParseError`` are usage errors. A reader
+that closes stdout early (``stefbench ... | head``) also ends the run
+with exit 1, without a traceback.
 """
 
 from __future__ import annotations
@@ -403,7 +405,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so a closed pipe raises inside this try.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, InvalidPrecisionError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

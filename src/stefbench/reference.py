@@ -27,8 +27,9 @@ at n = 1 and 2 off that trace's first n + 1 entries; the read lives
 here, because only the replay knows its traces are such runs. For n = 4
 it takes one more fixed step from x_3, but only when its run completed;
 any other status means the run already stopped, and its final |f| is
-the answer. A sibling column is read from the trace of a cell already
-run, and is solved only when the selection filtered its cell out.
+the answer. Each (table, method) three-step run, a cell's own or a
+sibling column that a diagnosed cell compares, is solved once, on first
+use: a column the selection left out is solved only for a diagnosed cell.
 
 Each point is evaluated once per replay. The methods of a table start
 from the same x0, many take the same first-step points, and the n = 4
@@ -94,10 +95,21 @@ class CellDiagnostic:
 
 @dataclass
 class BenchReport:
+    """The scored records and the mismatched cells' diagnostics.
+
+    ``matched`` and ``total`` derive from ``records``.
+    """
+
     records: list
     diagnostics: list
-    matched: int
-    total: int
+
+    @property
+    def matched(self) -> int:
+        return sum(1 for r in self.records if r.match)
+
+    @property
+    def total(self) -> int:
+        return len(self.records)
 
     @property
     def match_rate(self) -> float:
@@ -149,10 +161,6 @@ def _run(f, method: str, x0, steps, ctx: PrecisionContext) -> IterationTrace:
     return solve(method, f, x0, cfg, ctx)
 
 
-def _key(cell: ReferenceCell, method: str):
-    return cell.table_id, cell.function, cell.x0, method
-
-
 def _discrepancy(computed, paper, ctx, beyond=None):
     """log10(computed / paper), or None if either is 0.
 
@@ -202,14 +210,21 @@ def run_benchmark(
     # The methods of a table share x0 and many first-step points. The memos
     # live for this call only; one kept past it would outlive its context.
     memos = {name: _PointMemo(get_function(name)) for name in {c.function for c in cells}}
-    # The three-step trace of every cell run, per (table, function, x0, method).
     traces = {}
+
+    def three_steps(cell, tag):
+        """The three-step run of ``tag`` on ``cell``'s table, solved on first use."""
+        key = cell.table_id, cell.function, cell.x0, tag
+        if key not in traces:
+            traces[key] = _run(memos[cell.function], tag, cell.x0, TABLE_ITERATIONS, ctx)
+        return traces[key]
+
     records = []
-    papers = [ctx.mpf(cell.paper_value) for cell in cells]
-    for cell, paper in zip(cells, papers):
-        trace = _run(memos[cell.function], cell.method, cell.x0, TABLE_ITERATIONS, ctx)
-        traces[_key(cell, cell.method)] = trace
-        computed = abs(trace.final.fx)
+    diagnostics = []
+    for cell in cells:
+        paper = ctx.mpf(cell.paper_value)
+        own = three_steps(cell, cell.method)
+        computed = abs(own.final.fx)
         disc = _discrepancy(computed, paper, ctx)
         match = disc is not None and abs(disc) <= tol
         records.append(
@@ -217,52 +232,35 @@ def run_benchmark(
                 cell=cell,
                 computed_value=computed,
                 log10_discrepancy=disc,
-                status=trace.status,
+                status=own.status,
                 match=match,
             )
         )
-
-    diagnostics = []
-    if with_diagnostics:
-        for record, paper in zip(records, papers):
-            if record.match:
+        if match or not with_diagnostics:
+            continue
+        base = abs(disc) if disc is not None else None
+        better = []
+        for n in _NEARBY_COUNTS:
+            # Up to x_3, the n-step run is a prefix of this one. Past x_3,
+            # a completed run takes more steps from x_3; any other status
+            # means it stopped, so its final |f| is the answer.
+            residual = abs(own.iterates[: n + 1][-1].fx)
+            if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
+                f = memos[cell.function]
+                more = _run(f, cell.method, own.final.x, n - TABLE_ITERATIONS, ctx)
+                residual = abs(more.final.fx)
+            alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
+            if alt_disc is None:
                 continue
-            cell = record.cell
-            base = abs(record.log10_discrepancy) if record.log10_discrepancy is not None else None
-            own = traces[_key(cell, cell.method)]
-            f = memos[cell.function]
-            better = []
-            for n in _NEARBY_COUNTS:
-                # Up to x_3, the n-step run is a prefix of this one. Past x_3,
-                # a completed run takes more steps from x_3; any other status
-                # means it stopped, so its final |f| is the answer.
-                residual = abs(own.iterates[: n + 1][-1].fx)
-                if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
-                    more = _run(f, cell.method, own.final.x, n - TABLE_ITERATIONS, ctx)
-                    residual = abs(more.final.fx)
-                alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
-                if alt_disc is None:
-                    continue
-                if base is None or abs(alt_disc) < base:
-                    better.append((n, alt_disc))
-            alts = []
-            for tag in TABLE_METHODS:
-                if tag == cell.method:
-                    continue
-                key = _key(cell, tag)
-                if key not in traces:
-                    traces[key] = _run(f, tag, cell.x0, TABLE_ITERATIONS, ctx)
-                alt_disc = _discrepancy(abs(traces[key].final.fx), paper, ctx, beyond=tol)
-                if alt_disc is not None and abs(alt_disc) <= tol:
-                    alts.append((tag, alt_disc))
-            diagnostics.append(
-                CellDiagnostic(cell=cell, better_counts=better, alt_methods=alts)
-            )
+            if base is None or abs(alt_disc) < base:
+                better.append((n, alt_disc))
+        alts = []
+        for tag in TABLE_METHODS:
+            if tag == cell.method:
+                continue
+            alt_disc = _discrepancy(abs(three_steps(cell, tag).final.fx), paper, ctx, beyond=tol)
+            if alt_disc is not None and abs(alt_disc) <= tol:
+                alts.append((tag, alt_disc))
+        diagnostics.append(CellDiagnostic(cell=cell, better_counts=better, alt_methods=alts))
 
-    matched = sum(1 for r in records if r.match)
-    return BenchReport(
-        records=records,
-        diagnostics=diagnostics,
-        matched=matched,
-        total=len(records),
-    )
+    return BenchReport(records=records, diagnostics=diagnostics)

@@ -194,6 +194,28 @@ def test_a_runaway_exponential_ends_in_a_domain_error():
     assert ">= 2^512" in payload["detail"]
 
 
+def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback():
+    # As in `stefbench solve ... | head -c 700`, but the reader closes its
+    # end before the run starts, so the first write fails whatever the
+    # pipe's buffer size.
+    src = str(Path(stefbench.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["solve", "--method", "mkdf", "--function", "f1", "--format", "json",
+            "--precision-bits", "4096"]
+    code = "import sys; from stefbench.cli import main; sys.exit(main(sys.argv[1:]))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    # No traceback, and no "Exception ignored" from the flush at exit.
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_zero_fixed_iterations_is_a_usage_error(capsys):
     rc = main(["solve", "--method", "mkdf", "--function", "f1", "--iterations", "0"])
     assert rc == 2

@@ -189,9 +189,13 @@ def test_the_full_replay_solves_each_cell_once(monkeypatch):
     # Three steps per cell, and one more from x_3 for each diagnosed cell
     # whose three-step run completed; the others stopped sooner.
     steps = []
+    three_step_runs = []
 
     def counting_solve(*args, **kwargs):
-        steps.append(args[3].fixed_iterations)
+        method, memo, x0, cfg = args[:4]
+        steps.append(cfg.fixed_iterations)
+        if cfg.fixed_iterations == 3:
+            three_step_runs.append((memo.fn.name, x0, method))
         return solve(*args, **kwargs)
 
     monkeypatch.setattr("stefbench.reference.solve", counting_solve)
@@ -202,6 +206,21 @@ def test_the_full_replay_solves_each_cell_once(monkeypatch):
     ]
     assert (report.total, len(diagnosed), len(completed)) == (49, 31, 23)
     assert collections.Counter(steps) == {3: 49, 1: 23}
+
+    # Under a filter, each (table, method) run is still solved at most once,
+    # and the five methods left out only for tables with a diagnosed cell
+    # (tables 4, 6 and 8 at 128 bits, each for its mkdf cell).
+    three_step_runs.clear()
+    report = run_benchmark(PrecisionContext(128), methods=["steffensen", "mkdf"])
+    solved = collections.Counter(three_step_runs)
+    selected = {(r.cell.function, r.cell.x0, r.cell.method) for r in report.records}
+    tables = {(d.cell.function, d.cell.x0) for d in report.diagnostics}
+    assert set(solved.values()) == {1}
+    assert selected <= set(solved)
+    assert (len(selected), len(tables)) == (14, 3)
+    left_out = set(solved) - selected
+    assert {(name, x0) for name, x0, _ in left_out} == tables
+    assert len(left_out) == 5 * len(tables)
 
 
 def test_the_replay_takes_a_logarithm_only_where_it_can_count(monkeypatch):
@@ -327,8 +346,19 @@ def _direct(cell, method, n, ctx):
         {"tolerance_orders": 0.5},
         {"tolerance_orders": 5},
         {"tolerance_orders": 40},
+        # Each diagnosed steffensen cell solves its selected mkdf sibling
+        # before that cell's own turn, beside the five left out.
+        {"methods": ["steffensen", "mkdf"], "tolerance_orders": 0},
     ],
-    ids=["all", "mkdf-without-siblings", "every-cell-diagnosed", "tol-0.5", "tol-5", "tol-40"],
+    ids=[
+        "all",
+        "mkdf-without-siblings",
+        "every-cell-diagnosed",
+        "tol-0.5",
+        "tol-5",
+        "tol-40",
+        "steffensen-and-mkdf-all-diagnosed",
+    ],
 )
 def test_the_replay_equals_direct_runs_of_each_count(selection):
     # The replay reads the residuals at n <= 3 off one three-step run per

@@ -44,6 +44,11 @@ def _commands():
         yield ["bench", "--output", "json", "--tolerance-orders", orders], {}
     # Siblings solved for the diagnostics alone.
     yield ["bench", "--output", "json", "--method", "dehghan1"], {}
+    # Every cell diagnosed under a filter: a selected sibling is solved
+    # before its own cell, a filtered-out one for the diagnostics alone,
+    # and a trace already solved is read again.
+    yield ["bench", "--output", "json", "--method", "steffensen", "--method", "mkdf",
+           "--tolerance-orders", "0"], {}
     # One table, one function at 2048 bits, and a precision at which some
     # runs stop early: the replay's shared points differ in each.
     yield ["bench", "--output", "json", "--table", "6"], {}
