@@ -1,13 +1,16 @@
 """Convergence diagnostics: COC, error ratios, and mkdf's asymptotic constant.
 
-The computational order of convergence for a trace with errors e_n is
+Order information comes only from usable error pairs: a consecutive pair
+(e_n, e_{n+1}) is usable when both errors sit above the usability floor
+2^(-0.8*bits). Below it, cancellation noise dominates and the quotients are
+meaningless; the 0.2*bits margin over the arithmetic floor keeps at least
+two clean triples for a fourth-order method started near a simple root at
+512 bits. The computational order of convergence (COC) is
 
     rho_n = ln(|e_{n+1}| / |e_n|) / ln(|e_n| / |e_{n-1}|)
 
-computed only where all three errors sit above 2^(-0.8*bits): below that,
-cancellation noise dominates and the quotients are meaningless. The 0.2*bits
-margin over the arithmetic floor keeps at least two clean triples for a
-fourth-order method started near a simple root at 512 bits.
+over each two neighbouring usable pairs, and the error ratios are
+e_{n+1} / e_n**order over each usable pair.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ from .precision import PrecisionContext
 @dataclass
 class CocEstimate:
     per_step: list
-    final: object
     usable_steps: int
+
+    @property
+    def final(self):
+        return self.per_step[-1]
 
 
 @dataclass
@@ -30,73 +36,68 @@ class ErrorConstantReport:
     c: list
     formula_value: object  # mkdf's K
     empirical_ratios: list
-    agreement: object  # |last empirical ratio| / |formula_value|, or None
+
+    @property
+    def agreement(self):
+        """|last empirical ratio| / |formula_value|, or None without a ratio or with K = 0."""
+        if not self.empirical_ratios or self.formula_value == 0:
+            return None
+        return abs(self.empirical_ratios[-1]) / abs(self.formula_value)
 
 
-def _errors(trace) -> list:
-    """|e_n| of ``trace``; a trace without error data cannot be analysed."""
+def _usable_pairs(trace, ctx: PrecisionContext) -> tuple:
+    """The count of ``trace``'s usable errors, and its consecutive pairs.
+
+    Each pair is (e_n, e_{n+1}) when both errors are usable and None
+    otherwise. A trace without error data cannot be analysed.
+    """
     errs = trace.errors()
     if errs is None:
         raise InsufficientDataError(
             "trace carries no error values; solve with a reference_root"
         )
-    return errs
+    floor = ctx.usable_floor
+    usable = [e > floor for e in errs]
+    pairs = [
+        (a, b) if ok_a and ok_b else None
+        for a, b, ok_a, ok_b in zip(errs, errs[1:], usable, usable[1:])
+    ]
+    return sum(usable), pairs
 
 
 def coc(trace, ctx: PrecisionContext) -> CocEstimate:
     """Per-step computational order of convergence for a solved trace."""
-    errs = _errors(trace)
-    floor = ctx.usable_floor
-    usable = [e > floor for e in errs]
-    count = sum(usable)
+    count, pairs = _usable_pairs(trace, ctx)
     if count < 3:
         raise InsufficientDataError(
             f"need at least 3 errors above the usability floor, got {count}"
         )
-    ln = ctx.ln
-    per_step = []
-    # ln(errs[i] / errs[i - 1]) when the previous triple took it as its
-    # numerator; this triple reuses it as its denominator.
-    num = None
-    for i in range(1, len(errs) - 1):
-        den, num = num, None
-        if not (usable[i - 1] and usable[i] and usable[i + 1]):
-            continue
-        # Quotient first, then ln: the ratio of two representable errors is
-        # exact whenever they differ by a power-of-two scale, and well
-        # conditioned otherwise.
-        if den is None:
-            den = ln(errs[i] / errs[i - 1])
-        if den == 0:
-            continue
-        num = ln(errs[i + 1] / errs[i])
-        per_step.append(num / den)
+    # Quotient first, then ln: the ratio of two representable errors is
+    # exact whenever they differ by a power-of-two scale, and well
+    # conditioned otherwise. Each pair's logarithm is taken once and serves
+    # as one rho's numerator and the next one's denominator.
+    logs = [None if p is None else ctx.ln(p[1] / p[0]) for p in pairs]
+    # A rho is skipped where its denominator is missing (None) or 0: both are falsy.
+    per_step = [num / den for den, num in zip(logs, logs[1:]) if den and num is not None]
     if not per_step:
         raise InsufficientDataError("no well-conditioned consecutive error triple")
-    return CocEstimate(per_step=per_step, final=per_step[-1], usable_steps=count)
+    return CocEstimate(per_step=per_step, usable_steps=count)
 
 
 def empirical_ratio(trace, order: int, ctx: PrecisionContext) -> list:
     """e_{n+1} / e_n**order for every usable consecutive pair.
 
-    A pair is usable when both errors sit above the usability floor, the
-    same rule the COC triples follow. The floor matters on both sides: the
-    final error of a fast run is often pure iterate roundoff (its true
-    value is far below 2^(-bits)), and dividing that noise by a tiny
-    e_n**order manufactures astronomically wrong ratios. The list may come
-    back empty (an affine problem reaches the root in one step and leaves
-    nothing to measure); only a trace without error data at all is an
-    error.
+    The floor matters on both sides: the final error of a fast run is often
+    pure iterate roundoff (its true value is far below 2^(-bits)), and
+    dividing that noise by a tiny e_n**order manufactures astronomically
+    wrong ratios. The list may come back empty (an affine problem reaches
+    the root in one step and leaves nothing to measure); only a trace
+    without error data at all is an error.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    errs = _errors(trace)
-    floor = ctx.usable_floor
-    return [
-        errs[i + 1] / errs[i] ** order
-        for i in range(len(errs) - 1)
-        if errs[i] > floor and errs[i + 1] > floor
-    ]
+    _, pairs = _usable_pairs(trace, ctx)
+    return [b / a**order for a, b in filter(None, pairs)]
 
 
 def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorConstantReport:
@@ -128,15 +129,10 @@ def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorCons
             "the root is not simple at working precision"
         )
     formula = -c2 * (c1 ** 3 * c3 + c1 * c3 - 3 * c2 ** 2) / c1 ** 3
-    ratios = [] if trace is None else empirical_ratio(trace, 4, ctx)
-    agreement = None
-    if ratios and formula != 0:
-        agreement = abs(ratios[-1]) / abs(formula)
     return ErrorConstantReport(
         c=[c1, c2, c3, c4],
         formula_value=formula,
-        empirical_ratios=ratios,
-        agreement=agreement,
+        empirical_ratios=[] if trace is None else empirical_ratio(trace, 4, ctx),
     )
 
 

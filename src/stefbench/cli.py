@@ -61,6 +61,11 @@ def format_paper(x, ctx) -> str:
     return f"{sign}0.{digits:05d}e{e:+d}"
 
 
+def _count(n, noun) -> str:
+    """``n`` and ``noun``, plural unless n is 1: "1 iteration", "3 f-calls"."""
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 def _context_from(args) -> PrecisionContext:
     bits = args.precision_bits
     if bits is None:
@@ -155,8 +160,11 @@ def cmd_solve(args) -> int:
             print(f"{n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
         # A run that stops while evaluating x0 has no iterate to count from.
         steps = max(len(trace.iterates) - 1, 0)
-        jets = f", {trace.jet_call_total} jet calls" if trace.jet_call_total else ""
-        print(f"status: {trace.status} after {steps} iterations ({trace.f_call_total} f-calls{jets})")
+        jets = f", {_count(trace.jet_call_total, 'jet call')}" if trace.jet_call_total else ""
+        print(
+            f"status: {trace.status} after {_count(steps, 'iteration')} "
+            f"({_count(trace.f_call_total, 'f-call')}{jets})"
+        )
         if trace.detail:
             print(f"detail: {trace.detail}")
     return 0 if trace.status in SUCCESS_STATUSES else 1
@@ -185,7 +193,7 @@ def _bench_text(report, threshold, ctx):
             c = diag.cell
             print(f"  table {c.table_id} {c.method} on {c.function}: paper {c.paper_value}")
             for n, disc in diag.better_counts:
-                print(f"    closer at {n} iterations (dlog {float(disc):+.2f})")
+                print(f"    closer at {_count(n, 'iteration')} (dlog {float(disc):+.2f})")
             for tag, disc in diag.alt_methods:
                 print(f"    same-table agreement: {tag} computed matches this cell (dlog {float(disc):+.2f})")
             if not diag.better_counts and not diag.alt_methods:

@@ -79,8 +79,8 @@ class IterationTrace:
         return self.iterates[-1]
 
     def errors(self):
-        """|x_n - root| for every entry, or None without a root or entries."""
-        if not self.iterates or self.root is None:
+        """|x_n - root| for every entry, or None without a root."""
+        if self.root is None:
             return None
         return [abs(entry.x - self.root) for entry in self.iterates]
 

@@ -52,7 +52,6 @@ from .precision import PrecisionContext
 
 _DATA_PACKAGE = "stefbench.data"
 _DATA_NAME = "reference_tables.csv"
-_METHOD_ROW_ORDER = {tag: i for i, tag in enumerate(TABLE_METHODS)}
 DEFAULT_TOLERANCE_ORDERS = 2.0
 TABLE_ITERATIONS = 3
 # The iteration counts a mismatched cell's diagnostics compare.
@@ -117,21 +116,18 @@ class BenchReport:
 
 
 def load_reference_cells() -> list:
-    """All 49 cells in table order, methods in published row order."""
-    cells = []
+    """All 49 cells in the file's order: by table, methods in published row order."""
     with resources.files(_DATA_PACKAGE).joinpath(_DATA_NAME).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            cells.append(
-                ReferenceCell(
-                    table_id=int(row["table"]),
-                    function=row["function"],
-                    method=row["method"],
-                    x0=row["x0"],
-                    paper_value=row["paper_value"],
-                )
+        return [
+            ReferenceCell(
+                table_id=int(row["table"]),
+                function=row["function"],
+                method=row["method"],
+                x0=row["x0"],
+                paper_value=row["paper_value"],
             )
-    cells.sort(key=lambda c: (c.table_id, _METHOD_ROW_ORDER[c.method]))
-    return cells
+            for row in csv.DictReader(fh)
+        ]
 
 
 class _PointMemo:

@@ -71,6 +71,20 @@ def test_coc_requires_error_data(ctx):
         coc(trace, ctx)
 
 
+def test_coc_counts_no_errors_for_a_run_that_stops_at_x0(ctx):
+    # ln is undefined at x0, so the run records no iterate. Its root is
+    # known, so the trace has error data: an empty list, with no usable error.
+    trace = solve(
+        "mkdf", from_expression("ln(x)"), ctx.mpf(-1), SolveConfig(fixed_iterations=3), ctx,
+        reference_root=1,
+    )
+    assert trace.status == "domain_error"
+    assert trace.errors() == []
+    with pytest.raises(InsufficientDataError, match="usability floor, got 0"):
+        coc(trace, ctx)
+    assert empirical_ratio(trace, 4, ctx) == []
+
+
 def test_coc_requires_three_usable_errors(ctx):
     with pytest.raises(InsufficientDataError):
         coc(_trace_from_errors(ctx, ["1e-1", "1e-4"]), ctx)
@@ -178,6 +192,27 @@ def test_floor_noise_cannot_enter_the_ratios(ctx):
     errors = ["1e-1", "1e-4", "1e-16", "1e-64", "1e-150"]
     ratios = empirical_ratio(_trace_from_errors(ctx, errors), 4, ctx)
     assert len(ratios) == 3
+
+
+def _ratios_pair_by_pair(errs, order, ctx):
+    """Reference: each consecutive pair tests both of its errors itself."""
+    floor = ctx.usable_floor
+    ratios = []
+    for i in range(len(errs) - 1):
+        if errs[i] > floor and errs[i + 1] > floor:
+            ratios.append(errs[i + 1] / errs[i] ** order)
+    return ratios
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ERRORS, st.integers(min_value=1, max_value=4))
+# An unusable gap between two usable runs.
+@example([("1", 1), ("1", 2), ("1", 4), ("1", 130), ("1", 3), ("1", 6), ("1", 12)], 4)
+def test_empirical_ratio_takes_the_reference_quotients_bit_for_bit(ctx, digits, order):
+    errs = [ctx.mpf(f"{m}e-{k}") for m, k in digits]
+    ratios = empirical_ratio(_trace_from_errors(ctx, errs), order, ctx)
+    expected = _ratios_pair_by_pair(errs, order, ctx)
+    assert [r._mpf_ for r in ratios] == [r._mpf_ for r in expected]
 
 
 def test_ratio_validation(ctx):

@@ -44,6 +44,13 @@ def test_solve_text_counts_jet_calls_only_when_there_are_some(capsys):
     assert "status: fixed_count_completed after 2 iterations (5 f-calls, 2 jet calls)" in out
 
 
+def test_solve_text_counts_one_in_the_singular(capsys):
+    rc = main(["solve", "--method", "kou", "--function", "f3", "--iterations", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "status: fixed_count_completed after 1 iteration (3 f-calls, 1 jet call)" in out
+
+
 def test_solve_json_payload(capsys):
     rc = main(
         ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3", "--format", "json"]
@@ -360,7 +367,8 @@ def test_bench_json_carries_the_diagnostics_the_text_shows(capsys):
     assert [n for n, _ in diag["better_counts"]] == [1, 2]
     assert [tag for tag, _ in diag["alt_methods"]] == ["steffensen", "dehghan2"]
     for n, dlog in diag["better_counts"]:
-        assert f"closer at {n} iterations (dlog {dlog:+.2f})" in text
+        noun = "iteration" if n == 1 else "iterations"
+        assert f"closer at {n} {noun} (dlog {dlog:+.2f})" in text
     for tag, dlog in diag["alt_methods"]:
         assert f"agreement: {tag} computed matches this cell (dlog {dlog:+.2f})" in text
 
@@ -433,7 +441,7 @@ def test_solve_text_counts_no_steps_for_an_empty_trace(capsys):
     rc = main(["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1"])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 1
-    assert lines[-2] == "status: domain_error after 0 iterations (1 f-calls)"
+    assert lines[-2] == "status: domain_error after 0 iterations (1 f-call)"
 
 
 def test_solve_csv_of_an_empty_trace_is_the_header(capsys):

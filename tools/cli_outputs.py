@@ -66,6 +66,12 @@ def _commands():
             yield ["constant", "--function", name, "--precision-bits", bits], {}
     yield ["constant", "--expr", "x + x^2"], {}
     yield ["constant", "--expr", "exp(x) - 2", "--x0", "0.7"], {}
+    # The order path's edges: exactly one rho, errors that fall below the
+    # usability floor mid-run, one ratio, and a run that stops at x0.
+    yield ["coc", "--method", "mkdf", "--function", "f3", "--iterations", "2"], {}
+    yield ["coc", "--method", "steffensen", "--function", "f1", "--iterations", "12"], {}
+    yield ["constant", "--function", "f3", "--iterations", "1"], {}
+    yield ["coc", "--method", "mkdf", "--function", "f5", "--x0", "1e200"], {}
     # The scalar path, order-1 jets, and order-4 jets at two precisions.
     for method in ("mkdf", "kou"):
         yield ["solve", "--method", method, "--expr", EVERY_RULE, "--x0", "1.2", "--format", "json"], {}
