@@ -32,7 +32,8 @@ from . import jets
 from .errors import DomainError, ParseError
 from .precision import PrecisionContext
 
-FUNCTION_NAMES = ("sin", "cos", "exp", "ln", "arctan", "sqrt", "abs")
+# The grammar's elementary functions.
+ELEMENTARY = ("sin", "cos", "exp", "ln", "arctan", "sqrt", "abs")
 
 
 # -- AST -----------------------------------------------------------------
@@ -50,7 +51,7 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # 'neg' or one of FUNCTION_NAMES
+    op: str  # 'neg' or one of ELEMENTARY
     arg: object
 
 
@@ -181,7 +182,7 @@ class _Parser:
         if kind == "ident":
             if value == "x":
                 return Var()
-            if value in FUNCTION_NAMES:
+            if value in ELEMENTARY:
                 self.expect_op("(")
                 arg = self.binary()
                 self.expect_op(")")

@@ -12,11 +12,10 @@ The difference ``D = f(x + f(x)) - f(x - f(x))`` that appears twice in the
 two-line methods is computed once and reused, which changes nothing
 mathematically and halves the f-call count.
 
-``mkdf_step`` and ``kou_step`` with theta = -1 and the central slope are
-the same method in two notations. To keep them bit-for-bit identical they
-share one update routine (:func:`_kou_iterate`); the mkdf form
-y = x - 2 f(x)^2 / D is recovered from y = x - f(x)/s with
-s = D / (2 f(x)) exactly.
+The kou update is written once, in :func:`kou_step`. mkdf is ``kou_step``
+at theta = -1 with :func:`central_diff_slope`, kou_fd with the forward
+difference quotient and the registry's kou with the jet slope f'(x); every
+divisor, each slope included, is floor-checked.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ def central_diff_slope(f, x, fx, ctx: PrecisionContext):
     """[f(x + f(x)) - f(x - f(x))] / (2 f(x)), exactly as written.
 
     ``fx = f(x, ctx)``, as every kernel takes it. No step-size heuristics:
-    the offset is f(x) itself. The caller is expected to have checked that
-    |f(x)| is above the convergence floor.
+    the offset is f(x) itself. Both D and f(x) are checked against the
+    breakdown floor here.
     """
     d = _central_difference(f, x, fx, ctx)
     # d is about 2 f'(x) f(x), so where |f'(x)| is large d passes the floor
@@ -157,12 +156,9 @@ def cordero_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     return StepOutcome(x - t * (fy - fx) / (2 * fy - fx), y)
 
 
-def _kou_iterate(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
-    """Shared update for the kou family given the slope s and f(x).
-
-    Kept as a single code path so mkdf and kou(theta=-1, central slope)
-    agree to the last bit.
-    """
+def kou_step(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
+    """Kou family member with parameter theta and supplied slope s."""
+    _check_denominator(s, "slope", ctx)
     y = x - fx / s
     fy = f(y, ctx)
     nxt = x - theta * (fx + fy) / s
@@ -170,12 +166,6 @@ def _kou_iterate(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
         _check_denominator(fx - fy, "f(x) - f(y)", ctx)
         nxt = nxt - (1 - theta) * fx**2 / (s * (fx - fy))
     return StepOutcome(nxt, y)
-
-
-def kou_step(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
-    """Kou family member with parameter theta and supplied slope s."""
-    _check_denominator(s, "slope", ctx)
-    return _kou_iterate(f, x, fx, theta, s, ctx)
 
 
 def _kou_jet_step(f, x, fx, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutcome:
@@ -186,14 +176,13 @@ def _kou_jet_step(f, x, fx, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutc
 def kou_fd_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     """theta = -1 with the forward-difference slope [f(x+f(x)) - f(x)]/f(x)."""
     _check_denominator(fx, "f(x)", ctx)
-    s = _forward_difference(f, x, fx, ctx) / fx
-    return _kou_iterate(f, x, fx, MKDF_THETA, s, ctx)
+    return kou_step(f, x, fx, MKDF_THETA, _forward_difference(f, x, fx, ctx) / fx, ctx)
 
 
 def mkdf_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     """Fourth-order derivative-free kernel: kou theta = -1 with the
     central difference quotient as slope."""
-    return _kou_iterate(f, x, fx, MKDF_THETA, central_diff_slope(f, x, fx, ctx), ctx)
+    return kou_step(f, x, fx, MKDF_THETA, central_diff_slope(f, x, fx, ctx), ctx)
 
 
 @dataclass(frozen=True)

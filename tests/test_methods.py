@@ -1,5 +1,5 @@
 """Iteration kernels: exact affine behaviour, rational one-step oracles,
-evaluation counts, breakdown guards, and the mkdf/kou identity."""
+evaluation counts, breakdown guards, and the kou-family identity."""
 
 from fractions import Fraction
 
@@ -183,6 +183,23 @@ def test_kou_rejects_tiny_slopes(ctx):
         kou_step(f, x0, f(x0, ctx), -1, ctx.mpf("1e-160"), ctx)
     with pytest.raises(BreakdownError):
         kou_step(f, x0, f(x0, ctx), -1, ctx.mpf(0), ctx)
+    # From 0 both differences are 3e-139, above the floor of about 1.9e-139
+    # at 512 bits, while the slope they give is 1.5e-139, below it: the
+    # slope check is the one that stops mkdf and kou_fd, after the calls
+    # the difference spends.
+    for tag, step, expr, calls in (
+        ("mkdf", mkdf_step, "x^2 + 1.5e-139*x + 1", 3),
+        ("kou_fd", kou_fd_step, "x^2 - 2*x + 2 + 1.5e-139*x", 2),
+    ):
+        f, x0 = from_expression(expr), ctx.mpf(0)
+        with pytest.raises(BreakdownError, match="denominator slope"):
+            step(f, x0, f(x0, ctx), ctx)
+        trace = solve(tag, f, x0, SolveConfig(), ctx)
+        assert trace.status == DENOMINATOR_BREAKDOWN
+        assert trace.f_call_total == calls
+        assert trace.detail == (
+            "denominator slope fell below the breakdown floor (|1.5e-139| < 2^(-0.9*512))"
+        )
 
 
 # -- slope helper ----------------------------------------------------------
@@ -221,19 +238,34 @@ def test_central_slope_approximates_the_derivative_near_a_root(ctx):
     assert abs(slope - exact) < ctx.mpf("1e-6")
 
 
-# -- the mkdf/kou identity --------------------------------------------------
+# -- the kou family identity ---------------------------------------------
+
+# Each kou-family kernel with the slope it hands to kou_step at theta = -1.
+# mkdf's cases keep the bare function name as their id.
+_SLOPES = {
+    "central": (mkdf_step, lambda f, x, fx, ctx: (f(x + fx, ctx) - f(x - fx, ctx)) / (2 * fx)),
+    "forward": (kou_fd_step, lambda f, x, fx, ctx: (f(x + fx, ctx) - fx) / fx),
+    "jet": (METHODS["kou"].step, lambda f, x, fx, ctx: f.eval_jet(x, 1, ctx).coeffs[1]),
+}
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_mkdf_is_kou_theta_minus_one_with_central_slope(ctx, name):
+@pytest.mark.parametrize(
+    "slope, name",
+    [
+        pytest.param(slope, name, id=name if slope == "central" else f"{slope}-{name}")
+        for slope in _SLOPES
+        for name in sorted(BUILTINS)
+    ],
+)
+def test_mkdf_is_kou_theta_minus_one_with_central_slope(ctx, slope, name):
+    step, slope_of = _SLOPES[slope]
     f = BUILTINS[name]
     x = ctx.mpf(f.default_x0)
     fx = f(x, ctx)
-    s = (f(x + fx, ctx) - f(x - fx, ctx)) / (2 * fx)
-    via_kou = kou_step(f, x, fx, -1, s, ctx)
-    via_mkdf = mkdf_step(f, x, fx, ctx)
-    assert via_mkdf.next == via_kou.next
-    assert via_mkdf.aux == via_kou.aux
+    via_kou = kou_step(f, x, fx, -1, slope_of(f, x, fx, ctx), ctx)
+    via_step = step(f, x, fx, ctx)
+    assert via_step.next == via_kou.next
+    assert via_step.aux == via_kou.aux
 
 
 # -- method metadata ---------------------------------------------------------

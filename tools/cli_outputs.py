@@ -93,6 +93,9 @@ def _commands():
         yield ["solve", "--method", "kou", "--function", "f3", f"--theta={value}"], {}
     yield ["solve", "--method", "steffensen", "--function", "f6", "--max-iterations", "5"], {}
     yield ["solve", "--method", "mkdf", "--expr", "x^2 + 1", "--x0", "0", "--format", "json"], {}
+    # Differences above the breakdown floor whose slope lies below it.
+    yield ["solve", "--method", "mkdf", "--expr", "x^2 + 1.5e-139*x + 1", "--x0", "0"], {}
+    yield ["solve", "--method", "kou_fd", "--expr", "x^2 - 2*x + 2 + 1.5e-139*x", "--x0", "0"], {}
     yield ["solve", "--method", "steffensen", "--expr", "ln(x)", "--x0", "0.5"], {}
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1"], {}
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1", "--format", "csv"], {}
