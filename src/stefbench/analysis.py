@@ -10,7 +10,10 @@ two clean triples for a fourth-order method started near a simple root at
     rho_n = ln(|e_{n+1}| / |e_n|) / ln(|e_n| / |e_{n-1}|)
 
 over each two neighbouring usable pairs, and the error ratios are
-e_{n+1} / e_n**order over each usable pair.
+e_{n+1} / e_n**order over each usable pair. Each quotient e_{n+1}/e_n is
+formed at working precision, since the errors need all their bits, but its
+logarithm is taken at min(bits, LOG_BITS): rho is printed to 5 digits, and
+128 bits leave it a relative error near 2^-127.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from dataclasses import dataclass
 
 from .errors import InsufficientDataError, SimpleRootError
 from .precision import PrecisionContext
+
+# Precision of coc's logarithms: rho's relative error near 2^-127 against 5 printed digits.
+LOG_BITS = 128
 
 
 @dataclass
@@ -74,9 +80,14 @@ def coc(trace, ctx: PrecisionContext) -> CocEstimate:
         )
     # Quotient first, then ln: the ratio of two representable errors is
     # exact whenever they differ by a power-of-two scale, and well
-    # conditioned otherwise. Each pair's logarithm is taken once and serves
-    # as one rho's numerator and the next one's denominator.
-    logs = [None if p is None else ctx.ln(p[1] / p[0]) for p in pairs]
+    # conditioned otherwise. The quotient keeps working precision and only
+    # its ln is taken at min(bits, LOG_BITS): mpmath's ln with prec= is
+    # accurate near q = 1, where rounding q to 128 bits first would give
+    # ln 0 for q = 1 + 2^-300 and read a moving pair as stalled. Each
+    # pair's logarithm is taken once and serves as one rho's numerator and
+    # the next one's denominator.
+    prec = min(ctx.bits, LOG_BITS)
+    logs = [None if p is None else ctx.mp.ln(p[1] / p[0], prec=prec) for p in pairs]
     # A rho is skipped where its denominator is missing (None) or 0: both are falsy.
     per_step = [num / den for den, num in zip(logs, logs[1:]) if den and num is not None]
     if not per_step:

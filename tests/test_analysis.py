@@ -1,12 +1,16 @@
 """Order estimation and the error-constant report."""
 
+from functools import partial
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stefbench import (
     BUILTINS,
+    METHOD_TAGS,
     InsufficientDataError,
+    MethodKind,
     PrecisionContext,
     SimpleRootError,
     SolveConfig,
@@ -14,6 +18,7 @@ from stefbench import (
     empirical_ratio,
     error_constant,
     from_expression,
+    refine_root,
     solve,
     stencil_coefficients,
 )
@@ -102,8 +107,14 @@ def test_coc_requires_a_clean_consecutive_triple(ctx):
         coc(_trace_from_errors(ctx, ["1e-1", "1e-3", "1e-130", "1e-9", "1e-27"]), ctx)
 
 
-def _coc_two_logs_per_triple(errs, ctx):
-    """Reference: each triple takes both of its logarithms itself."""
+def _coc_two_logs_per_triple(errs, ctx, ln=None):
+    """Reference: each triple takes both of its logarithms itself.
+
+    ``ln`` defaults to coc's logarithm, mpmath's ln of the working-precision
+    quotient at min(bits, 128) bits.
+    """
+    if ln is None:
+        ln = partial(ctx.mp.ln, prec=min(ctx.bits, 128))
     floor = ctx.usable_floor
     usable = [e > floor for e in errs]
     if sum(usable) < 3:
@@ -112,10 +123,10 @@ def _coc_two_logs_per_triple(errs, ctx):
     for i in range(1, len(errs) - 1):
         if not (usable[i - 1] and usable[i] and usable[i + 1]):
             continue
-        den = ctx.mp.ln(errs[i] / errs[i - 1])
+        den = ln(errs[i] / errs[i - 1])
         if den == 0:
             continue
-        per_step.append(ctx.mp.ln(errs[i + 1] / errs[i]) / den)
+        per_step.append(ln(errs[i + 1] / errs[i]) / den)
     return per_step or None
 
 
@@ -152,9 +163,9 @@ def test_coc_takes_each_logarithm_once(monkeypatch):
     calls = []
     ln = c.mp.ln
 
-    def counting_ln(x):
-        calls.append(x)
-        return ln(x)
+    def counting_ln(x, **kwargs):
+        calls.append(kwargs)
+        return ln(x, **kwargs)
 
     # Six usable errors and one below the floor: four triples, five ratios.
     errors = ["1e-1", "1e-2", "1e-4", "1e-16", "1e-64", "1e-256", "1e-1024"]
@@ -163,7 +174,83 @@ def test_coc_takes_each_logarithm_once(monkeypatch):
     est = coc(trace, c)
     assert est.usable_steps == 6
     assert len(est.per_step) == 4
-    assert len(calls) == 5
+    # Five logarithms, none of them at the 4096-bit working precision.
+    assert calls == [{"prec": 128}] * 5
+
+
+# coc's 128-bit logarithms leave each rho a relative error near 2^-127 from
+# the rho of working-precision logarithms; 2^-120 is the bound held to.
+RHO_BOUND = 2 ** -120
+
+
+def _rhos_near_working_precision(kind, name, root, ctx):
+    """Check coc's rho for six steps from f's table x0 against working-precision logarithms.
+
+    Returns the number of rho values compared.
+    """
+    f = BUILTINS[name]
+    trace = solve(
+        kind, f, ctx.mpf(f.default_x0), SolveConfig(fixed_iterations=6), ctx, reference_root=root
+    )
+    oracle = _coc_two_logs_per_triple(trace.errors(), ctx, ln=ctx.ln)
+    if oracle is None:
+        with pytest.raises(InsufficientDataError):
+            coc(trace, ctx)
+        return 0
+    per_step = coc(trace, ctx).per_step
+    assert len(per_step) == len(oracle), (kind, name)
+    for rho, exact in zip(per_step, oracle):
+        assert abs(rho - exact) <= RHO_BOUND * max(1, abs(exact)), (kind, name)
+    return len(oracle)
+
+
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_coc_matches_working_precision_logarithms_at_512_bits(ctx, roots, tag):
+    compared = sum(
+        _rhos_near_working_precision(MethodKind(tag), name, roots[name], ctx) for name in BUILTINS
+    )
+    assert compared > 0
+
+
+@pytest.fixture(scope="module")
+def roots_4096():
+    c = PrecisionContext(4096)
+    return c, {name: refine_root(f, c.mpf(f.reference_root), c) for name, f in BUILTINS.items()}
+
+
+# Three methods only: all nine at 4096 bits would add seconds to the suite.
+@pytest.mark.parametrize(
+    "kind", [MethodKind("mkdf"), MethodKind("cordero"), MethodKind("kou", -1)], ids=MethodKind.label
+)
+def test_coc_matches_working_precision_logarithms_at_4096_bits(roots_4096, kind):
+    c, roots = roots_4096
+    compared = sum(_rhos_near_working_precision(kind, name, roots[name], c) for name in BUILTINS)
+    assert compared > 0
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_coc_takes_working_precision_logarithms_up_to_128_bits(bits):
+    c = PrecisionContext(bits)
+    errs = [c.mpf(e) for e in ("3e-1", "7e-3", "2e-6", "9e-15")]
+    expected = _coc_two_logs_per_triple(errs, c, ln=c.ln)
+    assert len(expected) == 2
+    est = coc(_trace_from_errors(c, errs), c)
+    assert [r._mpf_ for r in est.per_step] == [r._mpf_ for r in expected]
+
+
+def test_coc_resolves_a_quotient_next_to_one():
+    c = PrecisionContext(4096)
+    e0 = c.mpf(2) ** -10
+    q = 1 + c.mpf(2) ** -300
+    # Rounded to 128 bits first, this quotient would be 1, its logarithm 0,
+    # and the pair would be skipped as stalled.
+    assert PrecisionContext(128).mpf(q) == 1
+    errs = [e0, e0 * q, e0 * q / 2]
+    est = coc(_trace_from_errors(c, errs), c)
+    # rho = ln(1/2) / ln(q), so the logarithm of q was taken and is nonzero.
+    (rho,) = est.per_step
+    exact = -c.ln(2) / c.ln(q)
+    assert abs(rho - exact) <= RHO_BOUND * abs(exact)
 
 
 def test_usable_floor_exponent(ctx):

@@ -59,7 +59,9 @@ def _commands():
             yield ["solve", "--method", method, "--function", name, "--format", "json"], {}
             yield ["solve", "--method", method, "--function", name, "--iterations", "3"], {}
     for bits in ("512", "4096"):
-        for method in ("mkdf", "cordero", "kou"):
+        # Every kernel's rho at 4096 bits, where coc's logarithms are taken
+        # far below the working precision.
+        for method in ("mkdf", "cordero", "kou") if bits == "512" else METHODS:
             for name in BUILTINS:
                 yield ["coc", "--method", method, "--function", name, "--precision-bits", bits], {}
         for name in BUILTINS:
