@@ -18,7 +18,7 @@ logarithm is taken at min(bits, LOG_BITS): rho is printed to 5 digits, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InsufficientDataError, SimpleRootError
 from .precision import PrecisionContext
@@ -27,8 +27,7 @@ from .precision import PrecisionContext
 LOG_BITS = 128
 
 
-@dataclass
-class CocEstimate:
+class CocEstimate(NamedTuple):
     per_step: list
     usable_steps: int
 
@@ -37,8 +36,7 @@ class CocEstimate:
         return self.per_step[-1]
 
 
-@dataclass
-class ErrorConstantReport:
+class ErrorConstantReport(NamedTuple):
     c: list
     formula_value: object  # mkdf's K
     empirical_ratios: list

@@ -26,7 +26,6 @@ step's kernel receives it, so a fixed-count run of k steps spends
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import BreakdownError, DomainError, RefinementError
@@ -53,8 +52,7 @@ REFINE_MAX_ITERATIONS = 60  # refine_root's step limit, on every rung
 LADDER_FLOOR_BITS = 256
 
 
-@dataclass
-class SolveConfig:
+class SolveConfig(NamedTuple):
     max_iterations: int | None = None  # tolerance mode only; defaults to MAX_ITERATIONS
     fixed_iterations: int | None = None
     f_tolerance: object = None  # tolerance mode only; defaults to ctx.convergence_floor
@@ -65,14 +63,28 @@ class TraceEntry(NamedTuple):
     fx: object
 
 
-@dataclass
 class IterationTrace:
-    iterates: list = field(default_factory=list)
-    status: str = ""
-    f_call_total: int = 0
-    jet_call_total: int = 0
-    detail: str | None = None  # the breakdown or domain-error message
-    root: object = None  # the reference root, or None when none is known
+    """The record of one run, the one record ``solve`` fills in as it goes.
+
+    ``detail`` is the breakdown or domain-error message, and ``root`` the
+    reference root, or None when none is known.
+    """
+
+    def __init__(
+        self,
+        iterates: list | None = None,
+        status: str = "",
+        f_call_total: int = 0,
+        jet_call_total: int = 0,
+        detail: str | None = None,
+        root=None,
+    ):
+        self.iterates = [] if iterates is None else iterates
+        self.status = status
+        self.f_call_total = f_call_total
+        self.jet_call_total = jet_call_total
+        self.detail = detail
+        self.root = root
 
     @property
     def final(self) -> TraceEntry:

@@ -14,6 +14,13 @@ operators associate left. Exponents are restricted to integer literals so
 series composition stays exact. Error positions are byte offsets from the
 start of the source text.
 
+An expression nests at most MAX_DEPTH levels deep. A literal or x is one
+level, and each binary operator, power, unary minus, function call and
+parenthesised group adds one above its operands, so a left-deep sum
+counts as deep as it is long. Compiling, evaluating and unparsing recurse
+once per level; the limit makes a deeper input a ParseError, never a
+RecursionError.
+
 An AST compiles, once per "ops" adapter, into nested closures that
 evaluate it: :class:`HPOps` evaluates to a high-precision scalar,
 :class:`JetOps` to a :class:`~stefbench.jets.TaylorJet`. Compiling converts
@@ -26,7 +33,7 @@ the same order as a walk over the tree would, so the result and any
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jets
 from .errors import DomainError, ParseError
@@ -39,31 +46,32 @@ ELEMENTARY = ("sin", "cos", "exp", "ln", "arctan", "sqrt", "abs")
 # -- AST -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Const:
+# Immutable named tuples. Node types differ in arity or in their fields'
+# types, so tuple equality never equates two different nodes.
+
+
+class Const(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Var(NamedTuple):
+    def __bool__(self):
+        # A tuple without fields would be falsy; a node never is.
+        return True
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # 'neg' or one of ELEMENTARY
     arg: object
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # '+', '-', '*', '/'
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
@@ -101,12 +109,23 @@ def _tokenize(text: str):
 # by symbol, unary minus, power, and everything that binds as an atom.
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
 
+# The deepest expression parse accepts, in levels (see the module docstring).
+MAX_DEPTH = 100
+
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    Each grammar method returns a node and its height in levels. ``open``
+    counts the levels open above the token being read, so a node of height
+    h sits at least ``open + h`` levels deep in the finished tree.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -122,8 +141,26 @@ class _Parser:
             return self.advance()
         raise ParseError(f"expected '{symbol}'", pos)
 
+    def check(self, height: int, pos: int) -> int:
+        """``height``, or ParseError at ``pos`` if it takes the tree past MAX_DEPTH."""
+        if self.open + height > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return height
+
+    def nested(self, pos: int, parse_inner):
+        """``parse_inner()``'s node, one level down, opened by the token at ``pos``.
+
+        The level is checked before the descent, so nesting never recurses
+        past MAX_DEPTH.
+        """
+        self.open += 1
+        self.check(1, pos)
+        node, height = parse_inner()
+        self.open -= 1
+        return node, height + 1
+
     def parse(self):
-        node = self.binary()
+        node, _ = self.binary()
         kind, value, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {value!r}", pos)
@@ -137,29 +174,33 @@ class _Parser:
         """
         if level == _PREC["neg"]:
             return self.unary()
-        node = self.binary(level + 1)
+        node, height = self.binary(level + 1)
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and _PREC.get(value) == level:
                 self.advance()
-                node = Binary(value, node, self.binary(level + 1))
+                right, right_height = self.binary(level + 1)
+                node = Binary(value, node, right)
+                height = self.check(max(height, right_height) + 1, pos)
             else:
-                return node
+                return node, height
 
     def unary(self):
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Unary("neg", self.unary())
+            arg, height = self.nested(pos, self.unary)
+            return Unary("neg", arg), height
         return self.power()
 
     def power(self):
-        node = self.atom()
+        node, height = self.atom()
         kind, value, pos = self.peek()
         if kind == "op" and value == "^":
             self.advance()
             node = Pow(node, self.integer_exponent())
-        return node
+            height = self.check(height + 1, pos)
+        return node, height
 
     def integer_exponent(self) -> int:
         sign = 1
@@ -178,20 +219,20 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return Const(value)
+            return Const(value), 1
         if kind == "ident":
             if value == "x":
-                return Var()
+                return Var(), 1
             if value in ELEMENTARY:
                 self.expect_op("(")
-                arg = self.binary()
+                arg, height = self.nested(pos, self.binary)
                 self.expect_op(")")
-                return Unary(value, arg)
+                return Unary(value, arg), height
             raise ParseError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            node = self.binary()
+            node, height = self.nested(pos, self.binary)
             self.expect_op(")")
-            return node
+            return node, height
         shown = value if value else "end of input"
         raise ParseError(f"expected operand, found {shown!r}", pos)
 

@@ -20,9 +20,8 @@ divisor, each slope included, is floor-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from mpmath import isfinite
 
@@ -33,35 +32,32 @@ from .precision import PrecisionContext
 MKDF_THETA = -1
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     next: object
     aux: object | None
 
 
-@dataclass(frozen=True)
-class MethodKind:
+class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
     """A method identifier; ``theta`` only applies to the kou family.
 
     kou's theta defaults to :data:`MKDF_THETA`; every other method keeps
     ``theta`` None.
     """
 
-    tag: str
-    theta: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in METHODS:
+    def __new__(cls, tag: str, theta=None):
+        if tag not in METHODS:
             known = ", ".join(METHODS)
-            raise ValueError(f"unknown method {self.tag!r} (known: {known})")
-        if self.tag != "kou":
-            if self.theta is not None:
-                raise ValueError(f"theta only applies to kou, not {self.tag!r}")
-            return
-        theta = MKDF_THETA if self.theta is None else self.theta
-        if not isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
-        object.__setattr__(self, "theta", theta)
+            raise ValueError(f"unknown method {tag!r} (known: {known})")
+        if tag != "kou":
+            if theta is not None:
+                raise ValueError(f"theta only applies to kou, not {tag!r}")
+        else:
+            theta = MKDF_THETA if theta is None else theta
+            if not isfinite(theta):
+                raise ValueError(f"theta must be finite, got {theta}")
+        return super().__new__(cls, tag, theta)
 
     def stepper(self):
         """Bind this kind to a ``(f, x, fx, ctx) -> StepOutcome`` callable."""
@@ -185,8 +181,7 @@ def mkdf_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     return kou_step(f, x, fx, MKDF_THETA, central_diff_slope(f, x, fx, ctx), ctx)
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(NamedTuple):
     """One registry entry, the one source of every per-method fact.
 
     ``step`` is the ``(f, x, fx, ctx) -> StepOutcome`` kernel, ``order``

@@ -42,8 +42,7 @@ formulas' f-calls, as a direct run of the same cell would.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from importlib import resources
+from typing import NamedTuple
 
 from .driver import FIXED_COUNT_COMPLETED, IterationTrace, SolveConfig, solve
 from .functions import get_function
@@ -58,8 +57,7 @@ TABLE_ITERATIONS = 3
 _NEARBY_COUNTS = (1, 2, 4)
 
 
-@dataclass(frozen=True)
-class ReferenceCell:
+class ReferenceCell(NamedTuple):
     table_id: int
     function: str
     method: str
@@ -67,8 +65,7 @@ class ReferenceCell:
     paper_value: str  # literal published string, e.g. "0.47200e-25"
 
 
-@dataclass
-class BenchmarkRecord:
+class BenchmarkRecord(NamedTuple):
     cell: ReferenceCell
     computed_value: object
     log10_discrepancy: object  # log10(computed) - log10(paper), None if degenerate
@@ -76,8 +73,7 @@ class BenchmarkRecord:
     match: bool
 
 
-@dataclass
-class CellDiagnostic:
+class CellDiagnostic(NamedTuple):
     """Context for a mismatched cell.
 
     better_counts lists (n, discrepancy) for nearby iteration counts that
@@ -88,12 +84,12 @@ class CellDiagnostic:
     """
 
     cell: ReferenceCell
-    better_counts: list = field(default_factory=list)
-    alt_methods: list = field(default_factory=list)
+    # Empty tuples by default, so no two records share one list.
+    better_counts: list = ()
+    alt_methods: list = ()
 
 
-@dataclass
-class BenchReport:
+class BenchReport(NamedTuple):
     """The scored records and the mismatched cells' diagnostics.
 
     ``matched`` and ``total`` derive from ``records``.
@@ -117,6 +113,9 @@ class BenchReport:
 
 def load_reference_cells() -> list:
     """All 49 cells in the file's order: by table, methods in published row order."""
+    # Imported here, so only a replay pays for it.
+    from importlib import resources
+
     with resources.files(_DATA_PACKAGE).joinpath(_DATA_NAME).open(newline="") as fh:
         return [
             ReferenceCell(

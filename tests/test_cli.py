@@ -115,6 +115,25 @@ def test_solve_expression_requires_a_start(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("(" * 200 + "x" + ")" * 200, 99),
+        ("sin(" * 200 + "x" + ")" * 200, 396),
+        ("-" * 1000 + "x", 99),
+        ("+".join(["x"] * 1000), 199),
+    ],
+    ids=["parentheses", "calls", "unary-minus", "left-deep-sum"],
+)
+def test_a_too_deep_expression_is_a_usage_error(capsys, text, position):
+    # '=' keeps argparse from reading the leading '-' of a text as an option.
+    rc = main(["solve", "--method", "mkdf", f"--expr={text}", "--x0", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: expression nested deeper than 100 levels at position {position}\n"
+
+
 def test_expression_and_builtin_are_mutually_exclusive():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--method", "mkdf", "--function", "f1", "--expr", "x"])

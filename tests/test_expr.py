@@ -17,7 +17,18 @@ from stefbench import (
     from_expression,
     get_function,
 )
-from stefbench.expr import Binary, Const, HPOps, JetOps, Pow, Unary, Var, parse, unparse
+from stefbench.expr import (
+    MAX_DEPTH,
+    Binary,
+    Const,
+    HPOps,
+    JetOps,
+    Pow,
+    Unary,
+    Var,
+    parse,
+    unparse,
+)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -55,6 +66,43 @@ def test_parse_errors_carry_positions(text, position, fragment):
     assert str(info.value).endswith(f"at position {position}")
 
 
+# The four shapes too deep for the parser, each with the offset of the token
+# that crosses MAX_DEPTH: the 100th '(', the 100th 'sin', the 100th '-' and
+# the 100th '+', whose Binary node is the sum's 101st level.
+TOO_DEEP = [
+    pytest.param("(" * 200 + "x" + ")" * 200, 99, id="parentheses"),
+    pytest.param("sin(" * 200 + "x" + ")" * 200, 396, id="calls"),
+    pytest.param("-" * 1000 + "x", 99, id="unary-minus"),
+    pytest.param("+".join(["x"] * 1000), 199, id="left-deep-sum"),
+]
+
+
+@pytest.mark.parametrize("text, position", TOO_DEEP)
+def test_too_deep_expressions_are_parse_errors(text, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == position
+    assert str(info.value) == f"expression nested deeper than {MAX_DEPTH} levels at position {position}"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("(" * 99 + "x" + ")" * 99, 3),
+        ("-" * 99 + "x", -3),
+        ("+".join(["x"] * 100), 300),
+        ("x - (" * 49 + "x" + ")" * 49, 0),
+        ("(" * 98 + "x" + ")" * 98 + "^2", 9),
+    ],
+    ids=["parentheses", "unary-minus", "left-deep-sum", "right-deep-difference", "power"],
+)
+def test_expressions_at_the_depth_limit_parse_compile_and_round_trip(ctx, text, value):
+    f = from_expression(text)
+    assert f(ctx.mpf(3), ctx) == value
+    assert f.eval_jet(ctx.mpf(3), 2, ctx).coeffs[0] == value
+    assert parse(unparse(f.ast)) == f.ast
+
+
 def test_precedence(ctx):
     def ev(text, x):
         return from_expression(text)(ctx.mpf(x), ctx)
@@ -71,6 +119,7 @@ def test_precedence(ctx):
 def test_nested_power_needs_parens_and_keeps_them():
     ast = parse("(x^2)^3")
     assert ast == Pow(Pow(Var(), 2), 3)
+    assert Var()  # a node without fields is still truthy
     assert unparse(ast) == "(x^2)^3"
 
 
