@@ -63,28 +63,19 @@ class TraceEntry(NamedTuple):
     fx: object
 
 
-class IterationTrace:
-    """The record of one run, the one record ``solve`` fills in as it goes.
+class IterationTrace(NamedTuple):
+    """The record of one run, built once when ``solve`` returns.
 
     ``detail`` is the breakdown or domain-error message, and ``root`` the
     reference root, or None when none is known.
     """
 
-    def __init__(
-        self,
-        iterates: list | None = None,
-        status: str = "",
-        f_call_total: int = 0,
-        jet_call_total: int = 0,
-        detail: str | None = None,
-        root=None,
-    ):
-        self.iterates = [] if iterates is None else iterates
-        self.status = status
-        self.f_call_total = f_call_total
-        self.jet_call_total = jet_call_total
-        self.detail = detail
-        self.root = root
+    iterates: list = ()
+    status: str = ""
+    f_call_total: int = 0
+    jet_call_total: int = 0
+    detail: str | None = None
+    root: object = None
 
     @property
     def final(self) -> TraceEntry:
@@ -137,34 +128,41 @@ def solve(
         raise ValueError(f"x0 must be finite, got {x0}")
     bound = ctx.mpf(DIVERGENCE_BOUND)
 
+    root = None if reference_root is None else ctx.mpf(reference_root)
     counted = CountingFunction(f)
-    trace = IterationTrace(root=None if reference_root is None else ctx.mpf(reference_root))
+    iterates = []
+    status = detail = None
     try:
         fx = counted(x, ctx)
-        trace.iterates.append(TraceEntry(x, fx))
+        iterates.append(TraceEntry(x, fx))
         for _ in range(steps):
             if abs(fx) <= tol:
                 break
             x = stepper(counted, x, fx, ctx).next
             fx = counted(x, ctx)
-            trace.iterates.append(TraceEntry(x, fx))
+            iterates.append(TraceEntry(x, fx))
             if not abs(x) <= bound:  # so that a NaN iterate diverges too
-                trace.status = DIVERGED
+                status = DIVERGED
                 if ctx.mp.isnan(x):
-                    trace.detail = f"x_{len(trace.iterates) - 1} is NaN"
+                    detail = f"x_{len(iterates) - 1} is NaN"
                 break
-        if not trace.status:
+        if status is None:
             if abs(fx) <= tol:
-                trace.status = CONVERGED
+                status = CONVERGED
             else:
-                trace.status = FIXED_COUNT_COMPLETED if fixed else MAX_ITERATIONS_REACHED
+                status = FIXED_COUNT_COMPLETED if fixed else MAX_ITERATIONS_REACHED
     except BreakdownError as exc:
-        trace.status, trace.detail = DENOMINATOR_BREAKDOWN, str(exc)
+        status, detail = DENOMINATOR_BREAKDOWN, str(exc)
     except DomainError as exc:
-        trace.status, trace.detail = DOMAIN_ERROR, str(exc)
-    trace.f_call_total = counted.calls
-    trace.jet_call_total = counted.jet_calls
-    return trace
+        status, detail = DOMAIN_ERROR, str(exc)
+    return IterationTrace(
+        iterates=iterates,
+        status=status,
+        f_call_total=counted.calls,
+        jet_call_total=counted.jet_calls,
+        detail=detail,
+        root=root,
+    )
 
 
 def _rungs(bits: int) -> list:

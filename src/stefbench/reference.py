@@ -44,7 +44,7 @@ from __future__ import annotations
 import csv
 from typing import NamedTuple
 
-from .driver import FIXED_COUNT_COMPLETED, IterationTrace, SolveConfig, solve
+from .driver import FIXED_COUNT_COMPLETED, SolveConfig, solve
 from .functions import get_function
 from .methods import TABLE_METHODS
 from .precision import PrecisionContext
@@ -84,9 +84,8 @@ class CellDiagnostic(NamedTuple):
     """
 
     cell: ReferenceCell
-    # Empty tuples by default, so no two records share one list.
-    better_counts: list = ()
-    alt_methods: list = ()
+    better_counts: list
+    alt_methods: list
 
 
 class BenchReport(NamedTuple):
@@ -150,12 +149,6 @@ class _PointMemo:
         return value
 
 
-def _run(f, method: str, x0, steps, ctx: PrecisionContext) -> IterationTrace:
-    """One fixed-count run of ``method`` on ``f`` from ``x0``."""
-    cfg = SolveConfig(fixed_iterations=steps)
-    return solve(method, f, x0, cfg, ctx)
-
-
 def _discrepancy(computed, paper, ctx, beyond=None):
     """log10(computed / paper), or None if either is 0.
 
@@ -211,7 +204,8 @@ def run_benchmark(
         """The three-step run of ``tag`` on ``cell``'s table, solved on first use."""
         key = cell.table_id, cell.function, cell.x0, tag
         if key not in traces:
-            traces[key] = _run(memos[cell.function], tag, cell.x0, TABLE_ITERATIONS, ctx)
+            cfg = SolveConfig(fixed_iterations=TABLE_ITERATIONS)
+            traces[key] = solve(tag, memos[cell.function], cell.x0, cfg, ctx)
         return traces[key]
 
     records = []
@@ -241,8 +235,8 @@ def run_benchmark(
             # means it stopped, so its final |f| is the answer.
             residual = abs(own.iterates[: n + 1][-1].fx)
             if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
-                f = memos[cell.function]
-                more = _run(f, cell.method, own.final.x, n - TABLE_ITERATIONS, ctx)
+                cfg = SolveConfig(fixed_iterations=n - TABLE_ITERATIONS)
+                more = solve(cell.method, memos[cell.function], own.final.x, cfg, ctx)
                 residual = abs(more.final.fx)
             alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
             if alt_disc is None:

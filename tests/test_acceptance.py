@@ -47,9 +47,9 @@ from stefbench import (
     run_benchmark,
     solve,
     steffensen_step,
-    stencil_coefficients,
 )
 from stefbench.precision import PrecisionContext
+from stencil import stencil_coefficients
 
 DOCUMENTED_STATUSES = {
     CONVERGED,

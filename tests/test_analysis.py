@@ -20,9 +20,9 @@ from stefbench import (
     from_expression,
     refine_root,
     solve,
-    stencil_coefficients,
 )
 from stefbench.driver import IterationTrace, TraceEntry
+from stencil import stencil_coefficients
 
 
 def _trace_from_errors(ctx, errors):

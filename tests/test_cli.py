@@ -514,7 +514,7 @@ def test_bench_scoring_options_are_usage_errors(capsys, monkeypatch, option, val
     def no_cell_runs(*args):
         raise AssertionError("a cell ran before the options were checked")
 
-    monkeypatch.setattr("stefbench.reference._run", no_cell_runs)
+    monkeypatch.setattr("stefbench.reference.solve", no_cell_runs)
     rc = main(["bench", "--table", "4", "--method", "mkdf", f"{option}={value}"])
     captured = capsys.readouterr()
     assert rc == 2

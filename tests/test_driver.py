@@ -18,10 +18,12 @@ from stefbench import (
     FIXED_COUNT_COMPLETED,
     MAX_ITERATIONS_REACHED,
     METHOD_TAGS,
+    IterationTrace,
     MethodKind,
     RefinementError,
     SUCCESS_STATUSES,
     SolveConfig,
+    TraceEntry,
     from_expression,
     refine_root,
     solve,
@@ -311,6 +313,33 @@ def test_errors_require_a_reference_root(ctx, roots):
     assert errs is not None
     assert errs == sorted(errs, reverse=True)
     assert errs[3] < ctx.mpf("1e-20")
+
+
+TRACE_FIELDS = ("iterates", "status", "f_call_total", "jet_call_total", "detail", "root")
+
+
+@pytest.mark.parametrize("field", TRACE_FIELDS)
+def test_a_solved_trace_cannot_be_assigned(ctx, field):
+    trace = solve("mkdf", BUILTINS["f1"], ctx.mpf(1), SolveConfig(fixed_iterations=2), ctx)
+    with pytest.raises(AttributeError):
+        setattr(trace, field, getattr(trace, field))
+
+
+def test_a_solved_trace_is_its_fields(ctx, roots):
+    cfg = SolveConfig(fixed_iterations=2)
+    trace = solve("kou", BUILTINS["f3"], ctx.mpf(1), cfg, ctx, reference_root=roots["f3"])
+    assert trace == IterationTrace(*trace)
+    assert trace._fields == TRACE_FIELDS
+
+
+def test_a_trace_can_be_built_by_keyword(ctx):
+    entries = [TraceEntry(ctx.mpf(1), ctx.mpf(1)), TraceEntry(ctx.mpf(0), ctx.mpf(0))]
+    trace = IterationTrace(iterates=entries, status=CONVERGED, f_call_total=0, root=0)
+    assert trace.final == entries[-1]
+    assert trace.errors() == [1, 0]
+    assert trace.jet_call_total == 0
+    assert trace.detail is None
+    assert IterationTrace().iterates == ()
 
 
 def test_method_accepts_tag_or_kind(ctx):

@@ -94,6 +94,12 @@ def _commands():
     for value in ("nan", "inf", "-inf", "1e400"):
         yield ["solve", "--method", "kou", "--function", "f3", f"--theta={value}"], {}
     yield ["solve", "--method", "steffensen", "--function", "f6", "--max-iterations", "5"], {}
+    # A run that ends diverged, and a printed x_1 whose five digits round
+    # up to the next power of ten (0.99999...e+0 shows as 0.10000e+1).
+    diverging = ["solve", "--method", "kou", "--function", "f3", "--x0", "30", "--precision-bits", "64"]
+    yield diverging, {}
+    yield [*diverging, "--format", "json"], {}
+    yield ["solve", "--method", "mkdf", "--expr", "x - 0.9999996", "--x0", "0", "--iterations", "1"], {}
     yield ["solve", "--method", "mkdf", "--expr", "x^2 + 1", "--x0", "0", "--format", "json"], {}
     # Differences above the breakdown floor whose slope lies below it.
     yield ["solve", "--method", "mkdf", "--expr", "x^2 + 1.5e-139*x + 1", "--x0", "0"], {}
