@@ -22,7 +22,9 @@ once per level; the limit makes a deeper input a ParseError, never a
 RecursionError.
 
 An AST compiles, once per "ops" adapter, into nested closures that
-evaluate it: :class:`HPOps` evaluates to a high-precision scalar,
+evaluate it. The adapter supplies the arithmetic and the elementary
+functions: :class:`HPOps` evaluates to a high-precision scalar, working on
+raw libmp values between one conversion of x in and one mpf out, and
 :class:`JetOps` to a :class:`~stefbench.jets.TaylorJet`. Compiling converts
 each decimal literal once, at working precision directly from its text and
 never through a machine float; each call then runs the same operations in
@@ -32,8 +34,26 @@ the same order as a walk over the tree would, so the result and any
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import NamedTuple
+
+from mpmath.libmp import (
+    mpf_abs,
+    mpf_add,
+    mpf_atan,
+    mpf_cos,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sin,
+    mpf_sqrt,
+    mpf_sub,
+)
 
 from . import jets
 from .errors import DomainError, ParseError
@@ -294,25 +314,65 @@ def unparse(node) -> str:
 
 
 class HPOps:
-    """Scalar evaluation adapter over a precision context.
+    """Scalar evaluation adapter over raw mpmath values.
 
-    The elementary functions are the context's own methods, and abs is its
-    mpmath context's ``fabs``, all looked up when the adapter is built.
+    Values between entry and exit are libmp ``_mpf_`` tuples. x is rounded
+    to working precision once on entry (``var``), the result becomes an
+    mpf of the context once on exit (``wrap``), and each operation between
+    is the libmp call that the mpf operator or mpmath function makes, at
+    the same precision and rounding, behind the context's own domain
+    checks. So every value and DomainError message is bit for bit the one
+    that mpf arithmetic and the context's functions give.
     """
 
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
-        self.var = ctx.mpf
-        self.sin, self.cos, self.exp, self.ln = ctx.sin, ctx.cos, ctx.exp, ctx.ln
-        self.arctan, self.sqrt, self.abs = ctx.atan, ctx.sqrt, ctx.mp.fabs
+        mpf = ctx.mpf
+        prec, rnd = ctx.mp._prec_rounding  # what the mpf operators read
+
+        def var(x):
+            try:
+                v = x._mpf_
+            except AttributeError:  # text, int or float
+                return mpf(x)._mpf_
+            return mpf_pos(v, prec, rnd)
+
+        def unary(fn):
+            return lambda v: fn(v, prec, rnd)
+
+        def binary(fn):
+            return lambda a, b: fn(a, b, prec, rnd)
+
+        def checked(check, name, fn):
+            def call(v):
+                check(name, v)
+                return fn(v, prec, rnd)
+
+            return call
+
+        self.var, self.wrap = var, ctx.mp.make_mpf
+        self.add, self.sub, self.mul = binary(mpf_add), binary(mpf_sub), binary(mpf_mul)
+        self.div, self.pow = binary(mpf_div), binary(mpf_pow_int)
+        self.neg, self.arctan, self.abs = unary(mpf_neg), unary(mpf_atan), unary(mpf_abs)
+        self.sin = checked(ctx.check_bounded, "sin", mpf_sin)
+        self.cos = checked(ctx.check_bounded, "cos", mpf_cos)
+        self.exp = checked(ctx.check_bounded, "exp", mpf_exp)
+        self.ln = checked(ctx.check_positive, "ln", mpf_log)
+        self.sqrt = checked(ctx.check_nonnegative, "sqrt", mpf_sqrt)
 
     def const(self, text: str):
-        return self.ctx.mpf(text)
+        return self.ctx.mpf(text)._mpf_
 
 
 class JetOps:
     """Taylor-jet evaluation adapter of a fixed truncation order."""
 
+    neg = staticmethod(operator.neg)
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    div = staticmethod(operator.truediv)
+    pow = staticmethod(operator.pow)
     sin = staticmethod(jets.jet_sin)
     cos = staticmethod(jets.jet_cos)
     exp = staticmethod(jets.jet_exp)
@@ -331,17 +391,21 @@ class JetOps:
     def var(self, p):
         return jets.seed_jet(p, self.order, self.ctx)
 
+    @staticmethod
+    def wrap(jet):
+        return jet
+
 
 def compile_ast(node, ops):
     """Compile ``node`` into a function of x that evaluates it through ``ops``.
 
-    The function adapts x via ``ops.var`` on every call; literals are
-    converted once, here. Operands are evaluated left before right, so
-    results and DomainError messages are those of a walk over the tree.
+    The function adapts x via ``ops.var`` and its result via ``ops.wrap``
+    on every call; literals are converted once, here. Operands are
+    evaluated left before right, so results and DomainError messages are
+    those of a walk over the tree.
     """
-    body = _compile(node, ops)
-    var = ops.var
-    return lambda x: body(var(x))
+    body, var, wrap = _compile(node, ops), ops.var, ops.wrap
+    return lambda x: wrap(body(var(x)))
 
 
 def _identity(x):
@@ -357,7 +421,8 @@ def _compile(node, ops):
     if isinstance(node, Unary):
         arg = _compile(node.arg, ops)
         if node.op == "neg":
-            return lambda x: -arg(x)
+            neg = ops.neg
+            return lambda x: neg(arg(x))
         fn = getattr(ops, node.op)
 
         def unary(x):
@@ -369,12 +434,12 @@ def _compile(node, ops):
 
         return unary
     if isinstance(node, Pow):
-        base, exponent = _compile(node.base, ops), node.exponent
+        base, exponent, pow_ = _compile(node.base, ops), node.exponent, ops.pow
 
         def power(x):
             val = base(x)
             try:
-                return val ** exponent
+                return pow_(val, exponent)
             except ZeroDivisionError:
                 raise DomainError(
                     f"zero raised to negative power in {unparse(node)!r}"
@@ -383,19 +448,17 @@ def _compile(node, ops):
         return power
     if isinstance(node, Binary):
         left, right = _compile(node.left, ops), _compile(node.right, ops)
-        if node.op == "+":
-            return lambda x: left(x) + right(x)
-        if node.op == "-":
-            return lambda x: left(x) - right(x)
-        if node.op == "*":
-            return lambda x: left(x) * right(x)
+        if node.op == "/":
+            div = ops.div
 
-        def divide(x):
-            num, den = left(x), right(x)
-            try:
-                return num / den
-            except ZeroDivisionError:
-                raise DomainError(f"division by zero in {unparse(node)!r}") from None
+            def divide(x):
+                num, den = left(x), right(x)
+                try:
+                    return div(num, den)
+                except ZeroDivisionError:
+                    raise DomainError(f"division by zero in {unparse(node)!r}") from None
 
-        return divide
+            return divide
+        op = {"+": ops.add, "-": ops.sub, "*": ops.mul}[node.op]
+        return lambda x: op(left(x), right(x))
     raise TypeError(f"not an AST node: {node!r}")

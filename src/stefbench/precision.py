@@ -11,7 +11,9 @@ values or infinities, which is what bare mpmath does for ``ln``/``sqrt``.
 They also signal it for an argument of ``sin``, ``cos`` or ``exp`` whose
 magnitude reaches 2^bits: such a number has no fractional bits left, so the
 result carries no information, and mpmath's time for it grows with the
-magnitude.
+magnitude. The checks themselves work on raw libmp values (``_mpf_``
+tuples), so the compiled scalar path, which never builds an mpf between
+entry and exit, applies the same checks with the same messages.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import finf, fninf, fzero
 
 from .errors import DomainError, InvalidPrecisionError
 
@@ -76,44 +79,58 @@ class PrecisionContext:
         """
         return self.mp.mpf(value)
 
-    @property
-    def eps(self):
-        """Unit roundoff scale, 2^(1-bits)."""
-        return self.mp.mpf(2) ** (1 - self.bits)
+    # -- domain checks on raw values ------------------------------------
+    #
+    # Each takes a libmp ``_mpf_`` tuple (sign, mantissa, exponent, bit
+    # count) and returns None or raises DomainError. Raw values have no
+    # negative zero, and NaN has sign 0, so NaN passes every check, as it
+    # passes the comparisons ``x <= 0`` and ``x < 0``.
 
-    @property
-    def decimal_digits(self) -> int:
-        """Number of significant decimal digits carried, rounded up."""
-        return self.mp.dps + 2
-
-    # -- elementary functions -----------------------------------------
-
-    def _bounded(self, name: str, x):
-        # mag(x) > bits exactly when |x| >= 2^bits (infinities included).
-        if self.mp.mag(x) > self.bits:
+    def check_bounded(self, name: str, v):
+        """DomainError if |v| >= 2^bits, infinities included."""
+        # A finite nonzero value has magnitude exponent + bit count.
+        if (v[2] + v[3] > self.bits) if v[1] else (v == finf or v == fninf):
             raise DomainError(
-                f"{name} of {self.nstr(x)}: |argument| >= 2^{self.bits} "
+                f"{name} of {self._show(v)}: |argument| >= 2^{self.bits} "
                 "has no fractional bits at working precision"
             )
+
+    def check_positive(self, name: str, v):
+        """DomainError if v <= 0."""
+        if v[0] or v == fzero:
+            raise DomainError(f"{name} of non-positive value {self._show(v)}")
+
+    def check_nonnegative(self, name: str, v):
+        """DomainError if v < 0."""
+        if v[0]:
+            raise DomainError(f"{name} of negative value {self._show(v)}")
+
+    def _show(self, v) -> str:
+        return self.nstr(self.mp.make_mpf(v))
+
+    # -- elementary functions on mpf values -------------------------------
+
+    def _checked(self, check, name: str, x):
+        """``x`` converted as mpmath's functions convert it, once ``check`` passes it."""
+        x = self.mp.convert(x)
+        check(name, x._mpf_)
         return x
 
     def sin(self, x):
-        return self.mp.sin(self._bounded("sin", x))
+        return self.mp.sin(self._checked(self.check_bounded, "sin", x))
 
     def cos(self, x):
-        return self.mp.cos(self._bounded("cos", x))
+        return self.mp.cos(self._checked(self.check_bounded, "cos", x))
 
     def cos_sin(self, x):
         """(cos x, sin x) from one call, bit for bit as ``cos`` and ``sin`` give them."""
-        return self.mp.cos_sin(self._bounded("sin and cos", x))
+        return self.mp.cos_sin(self._checked(self.check_bounded, "sin and cos", x))
 
     def exp(self, x):
-        return self.mp.exp(self._bounded("exp", x))
+        return self.mp.exp(self._checked(self.check_bounded, "exp", x))
 
     def ln(self, x):
-        if x <= 0:
-            raise DomainError(f"ln of non-positive value {self.nstr(x)}")
-        return self.mp.ln(x)
+        return self.mp.ln(self._checked(self.check_positive, "ln", x))
 
     def log10(self, x):
         """log10 x, bit for bit as ``mp.log10`` gives it, with ln 10 computed once.
@@ -121,17 +138,14 @@ class PrecisionContext:
         mpmath defines it as ln(x) / ln(10), both taken 20 bits above the
         working precision; its own ``log10`` recomputes ln(10) every call.
         """
-        if x <= 0:
-            raise DomainError(f"log10 of non-positive value {self.nstr(x)}")
+        x = self._checked(self.check_positive, "log10", x)
         return self.mp.ln(x, prec=self.bits + 20) / self.ln10
 
     def atan(self, x):
         return self.mp.atan(x)
 
     def sqrt(self, x):
-        if x < 0:
-            raise DomainError(f"sqrt of negative value {self.nstr(x)}")
-        return self.mp.sqrt(x)
+        return self.mp.sqrt(self._checked(self.check_nonnegative, "sqrt", x))
 
     # -- rendering -----------------------------------------------------
 
@@ -139,8 +153,12 @@ class PrecisionContext:
         return self.mp.nstr(x, digits)
 
     def full_str(self, x) -> str:
-        """All carried digits, for machine-readable output."""
-        return self.mp.nstr(x, self.decimal_digits)
+        """All carried digits, for machine-readable output.
+
+        mpmath's ``dps`` is one below bits * log10(2), rounded; two digits
+        more make the text convert back to the same value.
+        """
+        return self.mp.nstr(x, self.mp.dps + 2)
 
     def __repr__(self) -> str:
         return f"PrecisionContext(bits={self.bits})"

@@ -1,8 +1,14 @@
-"""Shared fixtures: one 512-bit context and refined roots for the built-ins."""
+"""Shared fixtures: one 512-bit context and refined roots for the built-ins,
+and the unit roundoff helper ``eps``."""
 
 import pytest
 
 from stefbench import BUILTINS, PrecisionContext, refine_root
+
+
+def eps(ctx):
+    """Unit roundoff scale of ``ctx``, 2^(1-bits)."""
+    return ctx.mpf(2) ** (1 - ctx.bits)
 
 
 @pytest.fixture(scope="session")
@@ -26,7 +32,8 @@ def close(ctx):
     def _close(a, b, ulps=8):
         a = ctx.mpf(a)
         b = ctx.mpf(b)
-        scale = max(abs(a), abs(b), ctx.eps)
-        return abs(a - b) <= ulps * ctx.eps * scale
+        unit = eps(ctx)
+        scale = max(abs(a), abs(b), unit)
+        return abs(a - b) <= ulps * unit * scale
 
     return _close

@@ -21,7 +21,6 @@ from stefbench.expr import (
     MAX_DEPTH,
     Binary,
     Const,
-    HPOps,
     JetOps,
     Pow,
     Unary,
@@ -29,6 +28,7 @@ from stefbench.expr import (
     parse,
     unparse,
 )
+from mpf_ops import MpfOps
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
@@ -237,16 +237,18 @@ def evaluate(node, x, ops):
 
 
 class _Bounded:
-    """``ops`` whose exp, sin and cos reject arguments beyond 2^32.
+    """``ops`` whose exp, sin and cos reject arguments from 2^32 to 2^bits.
 
     mpmath reduces such arguments at a precision that grows with their
     exponent, so nested exponentials such as exp(exp(exp(99))) would
-    run for unbounded time.
+    run for unbounded time. Larger arguments, infinities included, stay:
+    both paths refuse them at once with a DomainError.
     """
 
     def __init__(self, ops):
         self.ops = ops
         self.mag = ops.ctx.mp.mag
+        self.bits = ops.ctx.bits
 
     def __getattr__(self, name):
         fn = getattr(self.ops, name)
@@ -254,7 +256,7 @@ class _Bounded:
             return fn
 
         def bounded(v):
-            if self.mag(v if isinstance(self.ops, HPOps) else v.coeffs[0]) > 32:
+            if 32 < self.mag(v if isinstance(self.ops, MpfOps) else v.coeffs[0]) <= self.bits:
                 reject()
             return fn(v)
 
@@ -272,9 +274,10 @@ def _outcome(run):
     return value._mpf_
 
 
-# x is given at a wider precision than either context, so the evaluators
+# x is given at a wider precision than any context, so the evaluators
 # must round it to working precision themselves.
-_WIDE = PrecisionContext(1024)
+_WIDE = PrecisionContext(8192)
+_CONTEXTS = {bits: PrecisionContext(bits) for bits in (64, 113, 512, 2048, 4096)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,24 +288,42 @@ _WIDE = PrecisionContext(1024)
 @example(ast=parse("ln(x)/sqrt(x)"), bits=64, x="-1.25")
 # The inner ln fails; the outer sqrt must pass its message on unchanged.
 @example(ast=parse("sqrt(ln(x))"), bits=64, x="-1.25")
+# The infinities and NaN pin the raw sign and NaN checks of ln and sqrt,
+# and the magnitude check of exp, sin and cos, against the mpf comparisons.
+@example(ast=parse("ln(x)"), bits=64, x="-inf")
+@example(ast=parse("sqrt(x)"), bits=64, x="-inf")
+@example(ast=parse("ln(x) + sqrt(x) + exp(x)"), bits=113, x="nan")
+@example(ast=parse("ln(x) + sqrt(x) - exp(-x)"), bits=113, x="inf")
+@example(ast=parse("sin(x)"), bits=4096, x="-inf")
 @given(
     ast=_ast_strategy(),
-    bits=st.sampled_from([64, 512]),
-    x=st.sampled_from(["0", "0.5", "-1.25", "3", "0.1"]),
+    bits=st.sampled_from([64, 113, 512, 2048, 4096]),
+    x=st.sampled_from(["0", "0.5", "-1.25", "3", "0.1", "inf", "-inf", "nan"]),
 )
 def test_compiled_evaluation_equals_the_tree_walk_bit_for_bit(ast, bits, x):
-    ctx = PrecisionContext(bits)
+    ctx = _CONTEXTS[bits]
     f = from_expression(unparse(ast))
     assert f.ast == ast
     x = _WIDE.mpf(x)
     for ops, run in [
-        (HPOps(ctx), lambda: f(x, ctx)),
+        (MpfOps(ctx), lambda: f(x, ctx)),
         (JetOps(ctx, 1), lambda: f.eval_jet(x, 1, ctx)),
         (JetOps(ctx, 4), lambda: f.eval_jet(x, 4, ctx)),
     ]:
         bounded = _Bounded(ops)
         expected = _outcome(lambda: evaluate(ast, bounded.var(x), bounded))
         assert _outcome(run) == expected
+
+
+def test_scalar_evaluation_takes_text_numbers_and_other_precisions():
+    ctx = PrecisionContext(64)
+    f = from_expression("x*x - 2")
+    third = PrecisionContext(1024).mpf(1) / 3
+    for x in ("1.1", 3, 0.1, third):
+        value = f(x, ctx)
+        assert type(value) is ctx.mp.mpf
+        expected = ctx.mpf(x) * ctx.mpf(x) - 2
+        assert value._mpf_ == expected._mpf_
 
 
 def test_x_is_rounded_to_working_precision():

@@ -1,4 +1,4 @@
-"""PrecisionContext: validation, floors, eps, domain guards, rendering."""
+"""PrecisionContext: validation, floors, unit roundoff, domain guards, rendering."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +12,7 @@ from stefbench import (
     SolveConfig,
     solve,
 )
+from conftest import eps
 
 
 @pytest.mark.parametrize("bad", [63, 0, -512, "512", 512.0, True, None])
@@ -42,11 +43,12 @@ def test_floor_ordering_and_magnitude(ctx):
 
 
 def test_eps_is_one_ulp_at_one(ctx):
-    assert ctx.eps == ctx.mpf(2) ** (1 - 512)
+    unit = eps(ctx)
+    assert unit == ctx.mpf(2) ** (1 - 512)
     one = ctx.mpf(1)
-    assert one + ctx.eps != one
+    assert one + unit != one
     # Half an ulp ties to even and rounds back down.
-    assert one + ctx.eps / 2 == one
+    assert one + unit / 2 == one
 
 
 def test_contexts_are_independent(ctx):
@@ -72,7 +74,7 @@ def test_domain_guards(ctx):
         ctx.ln(ctx.mpf(-1))
     with pytest.raises(DomainError):
         ctx.sqrt(ctx.mpf(-1))
-    for bad in (zero, ctx.mpf(-1), -ctx.eps, -ctx.mp.inf):
+    for bad in (zero, ctx.mpf(-1), -eps(ctx), -ctx.mp.inf):
         with pytest.raises(DomainError):
             ctx.log10(bad)
     assert ctx.sqrt(zero) == 0
@@ -108,7 +110,7 @@ def test_log10_is_mpmaths_bit_for_bit(bits, mantissa, exponent, power, ulps):
     # the two logarithms is nearest an integer.
     c = _LOG10_CONTEXTS[bits]
     ten = c.mpf(10) ** power
-    for x in (c.mp.ldexp(c.mpf(mantissa), exponent), ten + ulps * c.eps * ten):
+    for x in (c.mp.ldexp(c.mpf(mantissa), exponent), ten + ulps * eps(c) * ten):
         assert c.log10(x) == c.mp.log10(x)
 
 
@@ -135,8 +137,10 @@ def test_full_str_round_trips_exactly(ctx):
 
 def test_decimal_digits_cover_the_mantissa(ctx):
     # Round-tripping 512 bits of mantissa needs ceil(512 log10 2) + 1 = 155
-    # significant decimal digits.
-    assert ctx.decimal_digits >= 155
+    # significant decimal digits; full_str prints them all.
+    text = ctx.full_str(ctx.mpf(1) / 3)
+    assert text.startswith("0.3")
+    assert len(text) - len("0.") >= 155
 
 
 def test_nstr_digit_control(ctx):

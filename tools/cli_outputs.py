@@ -79,6 +79,11 @@ def _commands():
         yield ["solve", "--method", method, "--expr", EVERY_RULE, "--x0", "1.2", "--format", "json"], {}
     for bits in ("512", "4096"):
         yield ["constant", "--expr", EVERY_RULE, "--x0", "1.2", "--precision-bits", bits], {}
+    # The scalar path and order-1 jets at the lowest precision and a high one.
+    for bits in ("64", "2048"):
+        for method in ("mkdf", "kou"):
+            yield ["solve", "--method", method, "--expr", EVERY_RULE, "--x0", "1.2", "--format", "json",
+                   "--precision-bits", bits], {}
     yield ["list"], {}
     # The usage and failure cases of tests/test_cli.py.
     yield [], {}
@@ -107,6 +112,11 @@ def _commands():
     yield ["solve", "--method", "steffensen", "--expr", "ln(x)", "--x0", "0.5"], {}
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1"], {}
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1", "--format", "csv"], {}
+    # The scalar path's other DomainErrors: division by zero, zero to a
+    # negative power, sqrt of a negative value and sin beyond 2^bits.
+    for expr, x0 in (("1/(x - 1)", "1"), ("x^-1", "0"), ("sqrt(x - 2)", "0")):
+        yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", x0], {}
+    yield ["solve", "--method", "mkdf", "--expr", "sin(x)", "--x0", "1e30", "--precision-bits", "64"], {}
     # Parse errors: a missing operand, a non-integer exponent, an unknown
     # function and an unknown character.
     for expr in ("x +", "x^0.5", "foo(x)"):
