@@ -25,7 +25,8 @@ An AST compiles, once per "ops" adapter, into nested closures that
 evaluate it. The adapter supplies the arithmetic and the elementary
 functions: :class:`HPOps` evaluates to a high-precision scalar, working on
 raw libmp values between one conversion of x in and one mpf out, and
-:class:`JetOps` to a :class:`~stefbench.jets.TaylorJet`. Compiling converts
+:class:`JetOps` to a :class:`~stefbench.jets.TaylorJet`. Both take their
+elementary functions from the precision context. Compiling converts
 each decimal literal once, at working precision directly from its text and
 never through a machine float; each call then runs the same operations in
 the same order as a walk over the tree would, so the result and any
@@ -41,17 +42,11 @@ from typing import NamedTuple
 from mpmath.libmp import (
     mpf_abs,
     mpf_add,
-    mpf_atan,
-    mpf_cos,
     mpf_div,
-    mpf_exp,
-    mpf_log,
     mpf_mul,
     mpf_neg,
     mpf_pos,
     mpf_pow_int,
-    mpf_sin,
-    mpf_sqrt,
     mpf_sub,
 )
 
@@ -318,11 +313,13 @@ class HPOps:
 
     Values between entry and exit are libmp ``_mpf_`` tuples. x is rounded
     to working precision once on entry (``var``), the result becomes an
-    mpf of the context once on exit (``wrap``), and each operation between
-    is the libmp call that the mpf operator or mpmath function makes, at
-    the same precision and rounding, behind the context's own domain
-    checks. So every value and DomainError message is bit for bit the one
-    that mpf arithmetic and the context's functions give.
+    mpf of the context once on exit (``wrap``), and each arithmetic
+    operation between is the libmp call that the mpf operator makes, at
+    the same precision and rounding. The elementary functions are the
+    context's own, bound when the adapter is built: each is the context's
+    domain check and then mpmath's libmp call, and the jets call the same
+    methods. So every value and DomainError message is bit for bit the one
+    that mpf arithmetic and mpmath's functions give.
     """
 
     def __init__(self, ctx: PrecisionContext):
@@ -343,22 +340,12 @@ class HPOps:
         def binary(fn):
             return lambda a, b: fn(a, b, prec, rnd)
 
-        def checked(check, name, fn):
-            def call(v):
-                check(name, v)
-                return fn(v, prec, rnd)
-
-            return call
-
         self.var, self.wrap = var, ctx.mp.make_mpf
         self.add, self.sub, self.mul = binary(mpf_add), binary(mpf_sub), binary(mpf_mul)
         self.div, self.pow = binary(mpf_div), binary(mpf_pow_int)
-        self.neg, self.arctan, self.abs = unary(mpf_neg), unary(mpf_atan), unary(mpf_abs)
-        self.sin = checked(ctx.check_bounded, "sin", mpf_sin)
-        self.cos = checked(ctx.check_bounded, "cos", mpf_cos)
-        self.exp = checked(ctx.check_bounded, "exp", mpf_exp)
-        self.ln = checked(ctx.check_positive, "ln", mpf_log)
-        self.sqrt = checked(ctx.check_nonnegative, "sqrt", mpf_sqrt)
+        self.neg, self.abs = unary(mpf_neg), unary(mpf_abs)
+        self.sin, self.cos, self.exp = ctx.sin, ctx.cos, ctx.exp
+        self.ln, self.arctan, self.sqrt = ctx.ln, ctx.atan, ctx.sqrt
 
     def const(self, text: str):
         return self.ctx.mpf(text)._mpf_

@@ -9,7 +9,9 @@ All operations are exact truncated-series operations: coefficient k of a
 result depends only on coefficients 0..k of the inputs. The elementary
 functions use the standard convolution recurrences driven by u' (for
 g = exp(u): g' = u' g, and so on), so no symbolic differentiation is ever
-needed.
+needed. Each starts from the context's function of the constant term's
+raw value, the one the scalar path calls, so that term and its domain
+check are the scalar path's. Only sqrt and abs add checks of their own.
 """
 
 from __future__ import annotations
@@ -139,20 +141,20 @@ def _du_over(u: TaylorJet, w, v0) -> TaylorJet:
 
 
 def jet_exp(u: TaylorJet) -> TaylorJet:
-    v = [u.ctx.exp(u.coeffs[0])]
+    v = [u.ctx.mp.make_mpf(u.ctx.exp(u.coeffs[0]._mpf_))]
     for k in range(1, len(u)):
         v.append(_du_times(u, v, k) / k)
     return TaylorJet(v, u.ctx)
 
 
 def jet_ln(u: TaylorJet) -> TaylorJet:
-    return _du_over(u, u.coeffs, u.ctx.ln(u.coeffs[0]))
+    return _du_over(u, u.coeffs, u.ctx.mp.make_mpf(u.ctx.ln(u.coeffs[0]._mpf_)))
 
 
 def jet_sin_cos(u: TaylorJet):
     ctx = u.ctx
-    c0, s0 = ctx.cos_sin(u.coeffs[0])
-    s, c = [s0], [c0]
+    c0, s0 = ctx.cos_sin(u.coeffs[0]._mpf_)
+    s, c = [ctx.mp.make_mpf(s0)], [ctx.mp.make_mpf(c0)]
     for k in range(1, len(u)):
         s.append(_du_times(u, c, k) / k)
         c.append(-_du_times(u, s, k) / k)
@@ -168,15 +170,16 @@ def jet_cos(u: TaylorJet) -> TaylorJet:
 
 
 def jet_atan(u: TaylorJet) -> TaylorJet:
-    w = constant_jet(1, u.order, u.ctx) + u * u  # 1 + u^2
-    return _du_over(u, w.coeffs, u.ctx.atan(u.coeffs[0]))
+    ctx = u.ctx
+    w = constant_jet(1, u.order, ctx) + u * u  # 1 + u^2
+    return _du_over(u, w.coeffs, ctx.mp.make_mpf(ctx.atan(u.coeffs[0]._mpf_)))
 
 
 def jet_sqrt(u: TaylorJet) -> TaylorJet:
     ctx = u.ctx
     if u.coeffs[0] <= 0:
         raise DomainError("sqrt of a series with non-positive constant term")
-    v = [ctx.sqrt(u.coeffs[0])]
+    v = [ctx.mp.make_mpf(ctx.sqrt(u.coeffs[0]._mpf_))]
     for k in range(1, len(u)):
         acc = u.coeffs[k]
         for j in range(1, k):

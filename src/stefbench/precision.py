@@ -5,15 +5,16 @@ precision contexts never interfere with each other (and there is no global
 precision state to mutate). Values produced by a context are plain ``mpf``
 numbers of that context; arithmetic on them uses the usual operators.
 
-The elementary functions provided here signal :class:`DomainError` for
-arguments outside the real domain instead of silently returning complex
-values or infinities, which is what bare mpmath does for ``ln``/``sqrt``.
-They also signal it for an argument of ``sin``, ``cos`` or ``exp`` whose
-magnitude reaches 2^bits: such a number has no fractional bits left, so the
-result carries no information, and mpmath's time for it grows with the
-magnitude. The checks themselves work on raw libmp values (``_mpf_``
-tuples), so the compiled scalar path, which never builds an mpf between
-entry and exit, applies the same checks with the same messages.
+The context's ``sin``, ``cos``, ``cos_sin``, ``exp``, ``ln``, ``atan`` and
+``sqrt`` are the program's one set of elementary functions: the compiled
+scalar path and the jets both call them, on raw libmp values (``_mpf_``
+tuples). Each is a domain check, then the libmp call that mpmath's
+function makes at working precision and rounding. The checks signal
+:class:`DomainError` where bare mpmath would return a complex value or an
+infinity (``ln``, ``sqrt``), and for ``sin``, ``cos`` or ``exp`` of a
+magnitude of 2^bits or more: such an argument has no fractional bits
+left, and mpmath's time for it grows with the magnitude. Only ``log10``
+takes and returns mpf values.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import finf, fninf, fzero
+from mpmath.libmp import mpf_atan, mpf_cos, mpf_cos_sin, mpf_exp, mpf_log, mpf_sin, mpf_sqrt
 
 from .errors import DomainError, InvalidPrecisionError
 
@@ -51,6 +53,8 @@ class PrecisionContext:
         # The underlying mpmath context, for callers needing the full API.
         self.mp = mp = MPContext()
         mp.prec = bits
+        # The precision and rounding that mpmath's functions read.
+        self._prec, self._rnd = mp._prec_rounding
         two = mp.mpf(2)
         # Exact rational exponents: 0.9*bits = 9*bits/10, 0.95*bits = 19*bits/20,
         # and 0.8*bits = 4*bits/5 in usable_floor.
@@ -108,44 +112,48 @@ class PrecisionContext:
     def _show(self, v) -> str:
         return self.nstr(self.mp.make_mpf(v))
 
-    # -- elementary functions on mpf values -------------------------------
+    # -- elementary functions on raw values -----------------------------
+    #
+    # Each takes and returns an ``_mpf_`` tuple; an mpf argument is a
+    # TypeError.
 
-    def _checked(self, check, name: str, x):
-        """``x`` converted as mpmath's functions convert it, once ``check`` passes it."""
-        x = self.mp.convert(x)
-        check(name, x._mpf_)
-        return x
+    def sin(self, v):
+        self.check_bounded("sin", v)
+        return mpf_sin(v, self._prec, self._rnd)
 
-    def sin(self, x):
-        return self.mp.sin(self._checked(self.check_bounded, "sin", x))
+    def cos(self, v):
+        self.check_bounded("cos", v)
+        return mpf_cos(v, self._prec, self._rnd)
 
-    def cos(self, x):
-        return self.mp.cos(self._checked(self.check_bounded, "cos", x))
+    def cos_sin(self, v):
+        """(cos v, sin v) from one call, bit for bit as ``cos`` and ``sin`` give them."""
+        self.check_bounded("sin and cos", v)
+        return mpf_cos_sin(v, self._prec, self._rnd)
 
-    def cos_sin(self, x):
-        """(cos x, sin x) from one call, bit for bit as ``cos`` and ``sin`` give them."""
-        return self.mp.cos_sin(self._checked(self.check_bounded, "sin and cos", x))
+    def exp(self, v):
+        self.check_bounded("exp", v)
+        return mpf_exp(v, self._prec, self._rnd)
 
-    def exp(self, x):
-        return self.mp.exp(self._checked(self.check_bounded, "exp", x))
+    def ln(self, v):
+        self.check_positive("ln", v)
+        return mpf_log(v, self._prec, self._rnd)
 
-    def ln(self, x):
-        return self.mp.ln(self._checked(self.check_positive, "ln", x))
+    def atan(self, v):
+        return mpf_atan(v, self._prec, self._rnd)
+
+    def sqrt(self, v):
+        self.check_nonnegative("sqrt", v)
+        return mpf_sqrt(v, self._prec, self._rnd)
 
     def log10(self, x):
-        """log10 x, bit for bit as ``mp.log10`` gives it, with ln 10 computed once.
+        """log10 x of an mpf, bit for bit as ``mp.log10`` gives it, with ln 10 computed once.
 
         mpmath defines it as ln(x) / ln(10), both taken 20 bits above the
         working precision; its own ``log10`` recomputes ln(10) every call.
         """
-        x = self._checked(self.check_positive, "log10", x)
+        x = self.mp.convert(x)
+        self.check_positive("log10", x._mpf_)
         return self.mp.ln(x, prec=self.bits + 20) / self.ln10
-
-    def atan(self, x):
-        return self.mp.atan(x)
-
-    def sqrt(self, x):
-        return self.mp.sqrt(self._checked(self.check_nonnegative, "sqrt", x))
 
     # -- rendering -----------------------------------------------------
 

@@ -192,7 +192,7 @@ def _rhos_near_working_precision(kind, name, root, ctx):
     trace = solve(
         kind, f, ctx.mpf(f.default_x0), SolveConfig(fixed_iterations=6), ctx, reference_root=root
     )
-    oracle = _coc_two_logs_per_triple(trace.errors(), ctx, ln=ctx.ln)
+    oracle = _coc_two_logs_per_triple(trace.errors(), ctx, ln=ctx.mp.ln)
     if oracle is None:
         with pytest.raises(InsufficientDataError):
             coc(trace, ctx)
@@ -232,7 +232,7 @@ def test_coc_matches_working_precision_logarithms_at_4096_bits(roots_4096, kind)
 def test_coc_takes_working_precision_logarithms_up_to_128_bits(bits):
     c = PrecisionContext(bits)
     errs = [c.mpf(e) for e in ("3e-1", "7e-3", "2e-6", "9e-15")]
-    expected = _coc_two_logs_per_triple(errs, c, ln=c.ln)
+    expected = _coc_two_logs_per_triple(errs, c, ln=c.mp.ln)
     assert len(expected) == 2
     est = coc(_trace_from_errors(c, errs), c)
     assert [r._mpf_ for r in est.per_step] == [r._mpf_ for r in expected]
@@ -249,7 +249,7 @@ def test_coc_resolves_a_quotient_next_to_one():
     est = coc(_trace_from_errors(c, errs), c)
     # rho = ln(1/2) / ln(q), so the logarithm of q was taken and is nonzero.
     (rho,) = est.per_step
-    exact = -c.ln(2) / c.ln(q)
+    exact = -c.mp.ln(2) / c.mp.ln(q)
     assert abs(rho - exact) <= RHO_BOUND * abs(exact)
 
 

@@ -4,6 +4,7 @@ evaluator against a tree-walking oracle."""
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -130,16 +131,50 @@ def test_literals_convert_at_working_precision(ctx):
 
 def test_scalar_evaluation_matches_context_functions(ctx):
     x = ctx.mpf("0.5")
-    assert from_expression("sin(x)")(x, ctx) == ctx.sin(x)
+    assert from_expression("sin(x)")(x, ctx) == ctx.mp.sin(x)
     assert from_expression("x^2 - 2")(ctx.mpf(3), ctx) == 7
     assert from_expression("abs(0 - x)")(ctx.mpf(2), ctx) == 2
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
-def test_scalar_and_jet_constant_terms_agree_bitwise(ctx, name):
-    f = BUILTINS[name]
-    x0 = ctx.mpf(f.default_x0)
-    assert f(x0, ctx) == f.eval_jet(x0, 4, ctx).coeffs[0]
+# Every function of the grammar, sqrt and abs among them, which no built-in uses.
+EVERY_FUNCTION = "sqrt(x + 3) + abs(x - 3)/exp(x) + arctan(x)*x - ln(x)*sin(x)*cos(-x)"
+
+
+@pytest.mark.parametrize(
+    "f, x0, bits",
+    [pytest.param(BUILTINS[name], BUILTINS[name].default_x0, 512, id=name) for name in sorted(BUILTINS)]
+    + [
+        pytest.param(from_expression(EVERY_FUNCTION), "1.2", bits, id=f"every_function-{bits}")
+        for bits in (64, 113, 512, 2048, 4096)
+    ],
+)
+def test_scalar_and_jet_constant_terms_agree_bitwise(f, x0, bits):
+    c = PrecisionContext(bits)
+    x = c.mpf(x0)
+    assert f(x, c)._mpf_ == f.eval_jet(x, 4, c).coeffs[0]._mpf_
+
+
+def test_both_evaluators_call_the_contexts_elementary_functions(monkeypatch):
+    # Wrapping these methods on the class, as the benchmark's tracer does,
+    # sees every elementary call of both evaluators, if the wrappers are in
+    # place before the context is built.
+    calls = []
+    for name in ("sin", "cos", "cos_sin", "exp", "ln", "atan", "sqrt"):
+
+        def counting(self, v, name=name, method=getattr(PrecisionContext, name)):
+            calls.append(name)
+            return method(self, v)
+
+        monkeypatch.setattr(PrecisionContext, name, counting)
+    c = PrecisionContext(512)
+    f, x = from_expression(EVERY_FUNCTION), c.mpf("1.2")
+    f(x, c)
+    assert Counter(calls) == {"sqrt": 1, "exp": 1, "atan": 1, "ln": 1, "sin": 1, "cos": 1}
+    for order in (1, 4):
+        calls.clear()
+        f.eval_jet(x, order, c)
+        # The sin and cos jets each take both values from one cos_sin.
+        assert Counter(calls) == {"sqrt": 1, "exp": 1, "atan": 1, "ln": 1, "cos_sin": 2}
 
 
 @pytest.mark.parametrize(

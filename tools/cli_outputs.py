@@ -117,6 +117,10 @@ def _commands():
     for expr, x0 in (("1/(x - 1)", "1"), ("x^-1", "0"), ("sqrt(x - 2)", "0")):
         yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", x0], {}
     yield ["solve", "--method", "mkdf", "--expr", "sin(x)", "--x0", "1e30", "--precision-bits", "64"], {}
+    # The jets' own DomainErrors, where kou's slope is not differentiable.
+    for expr in ("sqrt(x) - 1", "abs(x) - 1"):
+        for output in ("text", "json"):
+            yield ["solve", "--method", "kou", "--expr", expr, "--x0", "0", "--format", output], {}
     # Parse errors: a missing operand, a non-integer exponent, an unknown
     # function and an unknown character.
     for expr in ("x +", "x^0.5", "foo(x)"):
