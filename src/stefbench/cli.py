@@ -79,14 +79,23 @@ def _context_from(args) -> PrecisionContext:
     return PrecisionContext(bits)
 
 
-def _write_csv(fields, rows) -> None:
-    """Write dict rows as CSV: ``None`` as "", bools as true/false, floats by repr."""
-    writer = csv.writer(sys.stdout)
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow(
-            [str(v).lower() if isinstance(v, bool) else v for v in map(row.get, fields)]
-        )
+def _write(fmt, payload, rows, fields, text) -> None:
+    """Print ``payload`` as JSON, its row list ``payload[rows]`` as CSV, or call ``text()``.
+
+    ``fields`` names the CSV columns, so an empty row list still prints its header.
+    CSV writes ``None`` as "", bools as true/false and floats by repr.
+    """
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout)
+        writer.writerow(fields)
+        for row in payload[rows]:
+            writer.writerow(
+                [str(v).lower() if isinstance(v, bool) else v for v in map(row.get, fields)]
+            )
+    else:
+        text()
 
 
 def _parse_theta(text):
@@ -121,6 +130,22 @@ def _resolve_x0(args, f) -> str:
 # -- solve --------------------------------------------------------------
 
 
+def _solve_text(kind, f, x0, trace, ctx):
+    print(f"{kind.label()} on {f.name} from x0 = {x0} at {ctx.bits} bits")
+    print(f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}")
+    for n, t in enumerate(trace.iterates):
+        print(f"{n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
+    # A run that stops while evaluating x0 has no iterate to count from.
+    steps = max(len(trace.iterates) - 1, 0)
+    jets = f", {_count(trace.jet_call_total, 'jet call')}" if trace.jet_call_total else ""
+    print(
+        f"status: {trace.status} after {_count(steps, 'iteration')} "
+        f"({_count(trace.f_call_total, 'f-call')}{jets})"
+    )
+    if trace.detail:
+        print(f"detail: {trace.detail}")
+
+
 def cmd_solve(args) -> int:
     ctx = _context_from(args)
     f = _resolve_function(args)
@@ -132,41 +157,22 @@ def cmd_solve(args) -> int:
         f_tolerance=args.tol,
     )
     trace = solve(kind, f, ctx.mpf(x0), cfg, ctx)
-    iterates = [
-        {"n": n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)}
-        for n, t in enumerate(trace.iterates)
-    ]
-
-    if args.fmt == "json":
-        payload = {
-            "method": kind.label(),
-            "function": f.name,
-            "x0": x0,
-            "precision_bits": ctx.bits,
-            "status": trace.status,
-            "detail": trace.detail,
-            "f_call_total": trace.f_call_total,
-            "jet_call_total": trace.jet_call_total,
-            "iterates": iterates,
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.fmt == "csv":
-        # Named here, not read off the rows: a run can stop before x0 is evaluated.
-        _write_csv(("n", "x", "fx"), iterates)
-    else:
-        print(f"{kind.label()} on {f.name} from x0 = {x0} at {ctx.bits} bits")
-        print(f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}")
-        for n, t in enumerate(trace.iterates):
-            print(f"{n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
-        # A run that stops while evaluating x0 has no iterate to count from.
-        steps = max(len(trace.iterates) - 1, 0)
-        jets = f", {_count(trace.jet_call_total, 'jet call')}" if trace.jet_call_total else ""
-        print(
-            f"status: {trace.status} after {_count(steps, 'iteration')} "
-            f"({_count(trace.f_call_total, 'f-call')}{jets})"
-        )
-        if trace.detail:
-            print(f"detail: {trace.detail}")
+    payload = {
+        "method": kind.label(),
+        "function": f.name,
+        "x0": x0,
+        "precision_bits": ctx.bits,
+        "status": trace.status,
+        "detail": trace.detail,
+        "f_call_total": trace.f_call_total,
+        "jet_call_total": trace.jet_call_total,
+        "iterates": [
+            {"n": n, "x": ctx.full_str(t.x), "fx": ctx.full_str(t.fx)}
+            for n, t in enumerate(trace.iterates)
+        ],
+    }
+    fields = ("n", "x", "fx")  # named, not read off the rows: a run can stop before x0
+    _write(args.fmt, payload, "iterates", fields, lambda: _solve_text(kind, f, x0, trace, ctx))
     return 0 if trace.status in SUCCESS_STATUSES else 1
 
 
@@ -217,29 +223,28 @@ def cmd_bench(args) -> int:
         functions=args.function,
         tolerance_orders=args.tolerance_orders,
         # CSV has no place for the diagnostics.
-        with_diagnostics=args.output != "csv",
+        with_diagnostics=args.fmt != "csv",
     )
     if not report.records:
         raise ValueError("selection matches no reference cells")
-    records = [
-        {
-            "table": r.cell.table_id,
-            "method": r.cell.method,
-            "function": r.cell.function,
-            "x0": r.cell.x0,
-            "paper_value": r.cell.paper_value,
-            "computed_value": ctx.full_str(r.computed_value),
-            "log10_discrepancy": None
-            if r.log10_discrepancy is None
-            else float(r.log10_discrepancy),
-            "status": r.status,
-            "match": r.match,
-        }
-        for r in report.records
-    ]
-
-    if args.output == "json":
-        diagnostics = [
+    payload = {
+        "records": [
+            {
+                "table": r.cell.table_id,
+                "method": r.cell.method,
+                "function": r.cell.function,
+                "x0": r.cell.x0,
+                "paper_value": r.cell.paper_value,
+                "computed_value": ctx.full_str(r.computed_value),
+                "log10_discrepancy": None
+                if r.log10_discrepancy is None
+                else float(r.log10_discrepancy),
+                "status": r.status,
+                "match": r.match,
+            }
+            for r in report.records
+        ],
+        "diagnostics": [
             {
                 "table": d.cell.table_id,
                 "method": d.cell.method,
@@ -248,20 +253,14 @@ def cmd_bench(args) -> int:
                 "alt_methods": [[tag, float(disc)] for tag, disc in d.alt_methods],
             }
             for d in report.diagnostics
-        ]
-        payload = {
-            "records": records,
-            "diagnostics": diagnostics,
-            "matched": report.matched,
-            "total": report.total,
-            "match_rate": report.match_rate,
-            "threshold": args.threshold,
-        }
-        print(json.dumps(payload, indent=2))
-    elif args.output == "csv":
-        _write_csv(list(records[0]), records)
-    else:
-        _bench_text(report, args.threshold, ctx)
+        ],
+        "matched": report.matched,
+        "total": report.total,
+        "match_rate": report.match_rate,
+        "threshold": args.threshold,
+    }
+    fields = list(payload["records"][0])
+    _write(args.fmt, payload, "records", fields, lambda: _bench_text(report, args.threshold, ctx))
     return 0 if report.match_rate >= args.threshold else 1
 
 
@@ -372,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, action="append", help="table id 2..8 (repeatable)")
     p.add_argument("--method", action="append", choices=TABLE_METHODS)
     p.add_argument("--function", action="append", choices=FUNCTION_NAMES)
-    p.add_argument("--output", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--output", dest="fmt", choices=("text", "csv", "json"), default="text")
     p.add_argument(
         "--tolerance-orders",
         type=float,

@@ -14,6 +14,7 @@ import stefbench
 from stefbench import (
     FUNCTION_NAMES,
     METHOD_TAGS,
+    PrecisionContext,
     load_reference_cells,
     run_benchmark,
 )
@@ -325,6 +326,9 @@ def test_too_few_bits_is_a_usage_error(capsys):
         ("-0.00027307", "-0.27307e-3"),
         ("77.299", "0.77299e+2"),
         ("0.99999949", "0.10000e+1"),
+        ("inf", "+inf"),
+        ("-inf", "-inf"),
+        ("nan", "nan"),
     ],
 )
 def test_format_paper(ctx, value, rendered):
@@ -370,26 +374,107 @@ def test_bench_json_single_cell(capsys):
     assert record["function"] == "f3"
 
 
-def test_bench_json_carries_the_diagnostics_the_text_shows(capsys):
-    argv = ["bench", "--table", "2", "--method", "dehghan1", "--threshold", "0"]
-    assert main(argv) == 0
-    text = capsys.readouterr().out
-    assert main(argv + ["--output", "json"]) == 0
-    (diag,) = json.loads(capsys.readouterr().out)["diagnostics"]
+def _count(n, noun):
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
+def _bench_text_from(payload, ctx):
+    """The text ``bench`` prints, rebuilt from its ``--output json`` payload alone."""
+    lines = [
+        f"{'table':>5}  {'method':<11}  {'fn':<3}  {'paper':<13}  "
+        f"{'computed':<13}  {'dlog':>7}  {'status':<22}  match"
+    ]
+    paper = {}
+    for r in payload["records"]:
+        paper[r["table"], r["method"], r["function"]] = r["paper_value"]
+        dlog = r["log10_discrepancy"]
+        lines.append(
+            f"{r['table']:>5}  {r['method']:<11}  {r['function']:<3}  {r['paper_value']:<13}  "
+            f"{format_paper(ctx.mpf(r['computed_value']), ctx):<13}  "
+            f"{'n/a' if dlog is None else f'{dlog:+7.2f}':>7}  {r['status']:<22}  "
+            f"{'yes' if r['match'] else 'NO'}"
+        )
+    if payload["diagnostics"]:
+        lines += ["", "mismatched cells:"]
+    for d in payload["diagnostics"]:
+        cell = paper[d["table"], d["method"], d["function"]]
+        lines.append(f"  table {d['table']} {d['method']} on {d['function']}: paper {cell}")
+        for n, dlog in d["better_counts"]:
+            lines.append(f"    closer at {_count(n, 'iteration')} (dlog {dlog:+.2f})")
+        for tag, dlog in d["alt_methods"]:
+            lines.append(
+                f"    same-table agreement: {tag} computed matches this cell (dlog {dlog:+.2f})"
+            )
+        if not d["better_counts"] and not d["alt_methods"]:
+            lines.append("    no nearby iteration count or sibling method agrees")
+    rate, threshold = payload["match_rate"], payload["threshold"]
+    lines += [
+        "",
+        f"matched {payload['matched']}/{payload['total']} cells ({100 * rate:.1f}%); "
+        f"threshold {100 * threshold:.1f}%: {'PASS' if rate >= threshold else 'FAIL'}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_bench_json_carries_the_diagnostics_the_text_shows(capsys, ctx):
+    # The full replay, then a selection of one method, whose siblings are
+    # solved for the diagnostics alone.
+    for argv in (["bench"], ["bench", "--table", "2", "--method", "dehghan1", "--threshold", "0"]):
+        rc = main(argv)
+        text = capsys.readouterr().out
+        assert main(argv + ["--output", "json"]) == rc
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["diagnostics"]
+        assert _bench_text_from(payload, ctx) == text
+    (diag,) = payload["diagnostics"]
     assert {k: diag[k] for k in ("table", "method", "function")} == {
         "table": 2,
         "method": "dehghan1",
         "function": "f1",
     }
-    # dehghan1 is the only method selected, so its siblings are solved for
-    # the diagnostics alone.
     assert [n for n, _ in diag["better_counts"]] == [1, 2]
     assert [tag for tag, _ in diag["alt_methods"]] == ["steffensen", "dehghan2"]
-    for n, dlog in diag["better_counts"]:
-        noun = "iteration" if n == 1 else "iterations"
-        assert f"closer at {n} {noun} (dlog {dlog:+.2f})" in text
-    for tag, dlog in diag["alt_methods"]:
-        assert f"agreement: {tag} computed matches this cell (dlog {dlog:+.2f})" in text
+
+
+def _solve_text_from(payload):
+    """The text ``solve`` prints, rebuilt from its ``--format json`` payload alone."""
+    ctx = PrecisionContext(payload["precision_bits"])
+    lines = [
+        f"{payload['method']} on {payload['function']} from x0 = {payload['x0']} "
+        f"at {payload['precision_bits']} bits",
+        f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}",
+    ]
+    for t in payload["iterates"]:
+        x, fx = format_paper(ctx.mpf(t["x"]), ctx), format_paper(abs(ctx.mpf(t["fx"])), ctx)
+        lines.append(f"{t['n']:>4}  {x:<15}  {fx:<15}")
+    steps = max(len(payload["iterates"]) - 1, 0)
+    n_jets = payload["jet_call_total"]
+    jets = f", {_count(n_jets, 'jet call')}" if n_jets else ""
+    lines.append(
+        f"status: {payload['status']} after {_count(steps, 'iteration')} "
+        f"({_count(payload['f_call_total'], 'f-call')}{jets})"
+    )
+    if payload["detail"]:
+        lines.append(f"detail: {payload['detail']}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Stops with a detail line, after five steps at a precision that is not the default.
+        ["solve", "--method", "mkdf", "--function", "f2", "--x0", "0.7", "--precision-bits", "1792"],
+        # Counts its jet calls.
+        ["solve", "--method", "kou", "--function", "f3"],
+    ],
+)
+def test_solve_json_carries_everything_the_text_shows(capsys, argv):
+    rc = main(argv)
+    text = capsys.readouterr().out
+    assert main(argv + ["--format", "json"]) == rc
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["detail"] or payload["jet_call_total"]
+    assert _solve_text_from(payload) == text
 
 
 def test_bench_csv_skips_the_diagnostics(capsys, monkeypatch):

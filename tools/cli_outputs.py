@@ -34,6 +34,8 @@ def _commands():
     for output in ("text", "json", "csv"):
         yield ["bench", "--output", output], {}
     yield ["bench", "--output", "json", "--precision-bits", "2048"], {}
+    # CSV of a selection, with more digits per value than at 512 bits.
+    yield ["bench", "--output", "csv", "--table", "4", "--precision-bits", "2048"], {}
     # Every cell diagnosed: at 128 bits some runs stop at the convergence
     # floor within three steps, and the rest take a fourth step from x_3.
     for bits in ("512", "128"):
@@ -58,6 +60,8 @@ def _commands():
         for name in BUILTINS:
             yield ["solve", "--method", method, "--function", name, "--format", "json"], {}
             yield ["solve", "--method", method, "--function", name, "--iterations", "3"], {}
+    # CSV of a trace with rows; the CSV of an empty trace is further down.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--format", "csv"], {}
     for bits in ("512", "4096"):
         # Every kernel's rho at 4096 bits, where coc's logarithms are taken
         # far below the working precision.
