@@ -25,8 +25,10 @@ An AST compiles, once per "ops" adapter, into nested closures that
 evaluate it. The adapter supplies the arithmetic and the elementary
 functions: :class:`HPOps` evaluates to a high-precision scalar, working on
 raw libmp values between one conversion of x in and one mpf out, and
-:class:`JetOps` to a :class:`~stefbench.jets.TaylorJet`. Both take their
-elementary functions from the precision context. Compiling converts
+:class:`stefbench.jets.JetOps` to a Taylor jet, working on coefficient
+tuples between one seed series of x in and one
+:class:`~stefbench.jets.TaylorJet` out. Both take their elementary
+functions from the precision context. Compiling converts
 each decimal literal once, at working precision directly from its text and
 never through a machine float; each call then runs the same operations in
 the same order as a walk over the tree would, so the result and any
@@ -35,7 +37,6 @@ the same order as a walk over the tree would, so the result and any
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import NamedTuple
 
@@ -50,7 +51,6 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
-from . import jets
 from .errors import DomainError, ParseError
 from .precision import PrecisionContext
 
@@ -349,38 +349,6 @@ class HPOps:
 
     def const(self, text: str):
         return self.ctx.mpf(text)._mpf_
-
-
-class JetOps:
-    """Taylor-jet evaluation adapter of a fixed truncation order."""
-
-    neg = staticmethod(operator.neg)
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    div = staticmethod(operator.truediv)
-    pow = staticmethod(operator.pow)
-    sin = staticmethod(jets.jet_sin)
-    cos = staticmethod(jets.jet_cos)
-    exp = staticmethod(jets.jet_exp)
-    ln = staticmethod(jets.jet_ln)
-    arctan = staticmethod(jets.jet_atan)
-    sqrt = staticmethod(jets.jet_sqrt)
-    abs = staticmethod(jets.jet_abs)
-
-    def __init__(self, ctx: PrecisionContext, order: int):
-        self.ctx = ctx
-        self.order = order
-
-    def const(self, text: str):
-        return jets.constant_jet(self.ctx.mpf(text), self.order, self.ctx)
-
-    def var(self, p):
-        return jets.seed_jet(p, self.order, self.ctx)
-
-    @staticmethod
-    def wrap(jet):
-        return jet
 
 
 def compile_ast(node, ops):

@@ -5,9 +5,10 @@ reference-root seed and the default initial guess used by the benchmark).
 It evaluates either to a high-precision scalar (``f(x, ctx)``) or to a
 Taylor jet (``f.eval_jet(p, order, ctx)``).
 
-The AST is compiled once per precision context: for the scalar path and
-for each jet order. The compiled code is stored on the context, so it
-lives exactly as long as the context does.
+The AST is compiled once per precision context: through
+:class:`~stefbench.expr.HPOps` for the scalar path, and through
+:class:`~stefbench.jets.JetOps` for each jet order. The compiled code is
+stored on the context, so it lives exactly as long as the context does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class ScalarFunction:
         key = (self, order)  # order is None for the scalar path
         run = ctx.compiled.get(key)
         if run is None:
-            ops = expr.HPOps(ctx) if order is None else expr.JetOps(ctx, order)
+            ops = expr.HPOps(ctx) if order is None else jets.JetOps(ctx, order)
             run = ctx.compiled[key] = expr.compile_ast(self.ast, ops)
         return run
 

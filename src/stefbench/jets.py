@@ -1,9 +1,15 @@
 """Truncated Taylor-series (jet) arithmetic.
 
-A :class:`TaylorJet` stores coefficients a_0..a_K of a(t) = sum a_k t^k.
+A jet of order K holds coefficients a_0..a_K of a(t) = sum a_k t^k.
 Seeding a jet at a point p with coefficients [p, 1, 0, ..., 0] and pushing
 it through a function f yields coefficients f^(k)(p)/k!, i.e. the
 normalized Taylor coefficients c_k used throughout the analysis layer.
+
+:class:`JetOps` is the jet algebra, an evaluation adapter for
+:func:`stefbench.expr.compile_ast` of the shape ``HPOps`` has. Between
+entry and exit a jet is a tuple of mpf coefficients, always of the
+adapter's one order; literals enter through ``const``, x through ``var``,
+and the result leaves as one :class:`TaylorJet` through ``wrap``.
 
 All operations are exact truncated-series operations: coefficient k of a
 result depends only on coefficients 0..k of the inputs. The elementary
@@ -21,6 +27,8 @@ from .precision import PrecisionContext
 
 
 class TaylorJet:
+    """The coefficients a_0..a_K that ``eval_jet`` returns, with their context."""
+
     __slots__ = ("coeffs", "ctx")
 
     def __init__(self, coeffs, ctx: PrecisionContext):
@@ -33,164 +41,133 @@ class TaylorJet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
     def __repr__(self) -> str:
         shown = ", ".join(self.ctx.nstr(c, 8) for c in self.coeffs[:5])
         tail = ", ..." if len(self.coeffs) > 5 else ""
         return f"TaylorJet([{shown}{tail}], order={self.order})"
 
-    # -- linear ops ----------------------------------------------------
 
-    def _same_order(self, other):
-        if not isinstance(other, TaylorJet):
-            raise TypeError(f"a jet combines only with a jet, not {type(other).__name__}")
-        if len(other) != len(self):
-            raise ValueError("jet orders differ")
-        return other
+class JetOps:
+    """Taylor-jet evaluation adapter of one truncation order, at least 1."""
 
-    def __add__(self, other):
-        o = self._same_order(other)
-        return TaylorJet([a + b for a, b in zip(self.coeffs, o.coeffs)], self.ctx)
+    def __init__(self, ctx: PrecisionContext, order: int):
+        self.ctx = ctx
+        self.order = order
+        self.zero = ctx.mpf(0)
+        self.one = (ctx.mpf(1),) + (self.zero,) * order
+        self.make = ctx.mp.make_mpf
 
-    def __neg__(self):
-        return TaylorJet([-a for a in self.coeffs], self.ctx)
+    def const(self, text: str):
+        return (self.ctx.mpf(text),) + self.one[1:]
 
-    def __sub__(self, other):
-        return self + (-self._same_order(other))
+    def var(self, p):
+        """The identity series at ``p``: (p, 1, 0, ..., 0)."""
+        return (self.ctx.mpf(p),) + self.one[:-1]
 
-    # -- products and quotients -----------------------------------------
+    def wrap(self, u) -> TaylorJet:
+        return TaylorJet(u, self.ctx)
 
-    def __mul__(self, other):
-        o = self._same_order(other)
-        zero = self.ctx.mpf(0)
-        out = []
-        for k in range(len(self.coeffs)):
-            acc = zero
-            for j in range(k + 1):
-                acc += self.coeffs[j] * o.coeffs[k - j]
-            out.append(acc)
-        return TaylorJet(out, self.ctx)
+    # -- arithmetic ------------------------------------------------------
 
-    def __truediv__(self, other):
-        o = self._same_order(other)
-        if o.coeffs[0] == 0:
+    def neg(self, u):
+        return tuple(-a for a in u)
+
+    def add(self, u, v):
+        return tuple(a + b for a, b in zip(u, v))
+
+    def sub(self, u, v):
+        return self.add(u, self.neg(v))
+
+    def mul(self, u, v):
+        zero = self.zero
+        return tuple(
+            sum((u[j] * v[k - j] for j in range(k + 1)), zero) for k in range(len(u))
+        )
+
+    def div(self, u, v):
+        if v[0] == 0:
             raise DomainError("jet division by a series with zero constant term")
         out = []
-        for k in range(len(self.coeffs)):
-            acc = self.coeffs[k]
+        for k, acc in enumerate(u):
             for j in range(k):
-                acc -= out[j] * o.coeffs[k - j]
-            out.append(acc / o.coeffs[0])
-        return TaylorJet(out, self.ctx)
+                acc -= out[j] * v[k - j]
+            out.append(acc / v[0])
+        return tuple(out)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise DomainError("jet exponent must be a literal integer")
+    def pow(self, u, n: int):
         if n < 0:
-            return constant_jet(1, self.order, self.ctx) / self.__pow__(-n)
-        result = constant_jet(1, self.order, self.ctx)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+            return self.div(self.one, self.pow(u, -n))
+        result = self.one
+        while n:
+            if n & 1:
+                result = self.mul(result, u)
+            u = self.mul(u, u) if n > 1 else u
+            n >>= 1
         return result
 
+    # -- elementary functions --------------------------------------------
+    #
+    # Writing u for the input and v for the result, each recurrence below
+    # comes from a first-order ODE satisfied by the pair, matched
+    # coefficientwise. exp, sin and cos solve v' = u' g, with g = v, cos u
+    # and -sin u; ln and arctan solve v' = u' / w, with w = u and 1 + u^2.
 
-def constant_jet(value, order: int, ctx: PrecisionContext) -> TaylorJet:
-    zero = ctx.mpf(0)
-    return TaylorJet([ctx.mpf(value)] + [zero] * order, ctx)
+    def _du_times(self, u, g, k: int):
+        """The sum of j u_j g_(k-j) over j = 1..k, which v' = u' g sets to k v_k."""
+        return sum((j * u[j] * g[k - j] for j in range(1, k + 1)), self.zero)
 
+    def _du_over(self, u, w, v0):
+        """The v with v_0 = v0 and v' = u' / w, matching w v' = u' coefficientwise."""
+        v = [v0]
+        for k in range(1, len(u)):
+            acc = k * u[k]
+            for j in range(1, k):
+                acc -= j * v[j] * w[k - j]
+            v.append(acc / (k * w[0]))
+        return tuple(v)
 
-def seed_jet(point, order: int, ctx: PrecisionContext) -> TaylorJet:
-    """The identity series at ``point``: [p, 1, 0, ..., 0]."""
-    zero = ctx.mpf(0)
-    coeffs = [ctx.mpf(point), ctx.mpf(1)] + [zero] * (order - 1)
-    return TaylorJet(coeffs[: order + 1], ctx)
+    def exp(self, u):
+        v = [self.make(self.ctx.exp(u[0]._mpf_))]
+        for k in range(1, len(u)):
+            v.append(self._du_times(u, v, k) / k)
+        return tuple(v)
 
+    def ln(self, u):
+        return self._du_over(u, u, self.make(self.ctx.ln(u[0]._mpf_)))
 
-# -- elementary functions on jets ---------------------------------------
-#
-# Writing u for the input and v for the result, each recurrence below comes
-# from a first-order ODE satisfied by the pair, matched coefficientwise.
-# exp, sin and cos solve v' = u' g, with g = v, cos u and -sin u; ln and
-# arctan solve v' = u' / w, with w = u and 1 + u^2.
+    def sin_cos(self, u):
+        """(sin u, cos u), from one call of the context's ``cos_sin``."""
+        c0, s0 = self.ctx.cos_sin(u[0]._mpf_)
+        s, c = [self.make(s0)], [self.make(c0)]
+        for k in range(1, len(u)):
+            s.append(self._du_times(u, c, k) / k)
+            c.append(-self._du_times(u, s, k) / k)
+        return tuple(s), tuple(c)
 
+    def sin(self, u):
+        return self.sin_cos(u)[0]
 
-def _du_times(u: TaylorJet, g, k: int):
-    """The sum of j u_j g_(k-j) over j = 1..k, which v' = u' g sets to k v_k."""
-    acc = u.ctx.mpf(0)
-    for j in range(1, k + 1):
-        acc += j * u.coeffs[j] * g[k - j]
-    return acc
+    def cos(self, u):
+        return self.sin_cos(u)[1]
 
+    def arctan(self, u):
+        w = self.add(self.one, self.mul(u, u))  # 1 + u^2
+        return self._du_over(u, w, self.make(self.ctx.atan(u[0]._mpf_)))
 
-def _du_over(u: TaylorJet, w, v0) -> TaylorJet:
-    """The v with v_0 = v0 and v' = u' / w, matching w v' = u' coefficientwise."""
-    v = [v0]
-    for k in range(1, len(u)):
-        acc = k * u.coeffs[k]
-        for j in range(1, k):
-            acc -= j * v[j] * w[k - j]
-        v.append(acc / (k * w[0]))
-    return TaylorJet(v, u.ctx)
+    def sqrt(self, u):
+        if u[0] <= 0:
+            raise DomainError("sqrt of a series with non-positive constant term")
+        v = [self.make(self.ctx.sqrt(u[0]._mpf_))]
+        for k in range(1, len(u)):
+            acc = u[k]
+            for j in range(1, k):
+                acc -= v[j] * v[k - j]
+            v.append(acc / (2 * v[0]))
+        return tuple(v)
 
-
-def jet_exp(u: TaylorJet) -> TaylorJet:
-    v = [u.ctx.mp.make_mpf(u.ctx.exp(u.coeffs[0]._mpf_))]
-    for k in range(1, len(u)):
-        v.append(_du_times(u, v, k) / k)
-    return TaylorJet(v, u.ctx)
-
-
-def jet_ln(u: TaylorJet) -> TaylorJet:
-    return _du_over(u, u.coeffs, u.ctx.mp.make_mpf(u.ctx.ln(u.coeffs[0]._mpf_)))
-
-
-def jet_sin_cos(u: TaylorJet):
-    ctx = u.ctx
-    c0, s0 = ctx.cos_sin(u.coeffs[0]._mpf_)
-    s, c = [ctx.mp.make_mpf(s0)], [ctx.mp.make_mpf(c0)]
-    for k in range(1, len(u)):
-        s.append(_du_times(u, c, k) / k)
-        c.append(-_du_times(u, s, k) / k)
-    return TaylorJet(s, ctx), TaylorJet(c, ctx)
-
-
-def jet_sin(u: TaylorJet) -> TaylorJet:
-    return jet_sin_cos(u)[0]
-
-
-def jet_cos(u: TaylorJet) -> TaylorJet:
-    return jet_sin_cos(u)[1]
-
-
-def jet_atan(u: TaylorJet) -> TaylorJet:
-    ctx = u.ctx
-    w = constant_jet(1, u.order, ctx) + u * u  # 1 + u^2
-    return _du_over(u, w.coeffs, ctx.mp.make_mpf(ctx.atan(u.coeffs[0]._mpf_)))
-
-
-def jet_sqrt(u: TaylorJet) -> TaylorJet:
-    ctx = u.ctx
-    if u.coeffs[0] <= 0:
-        raise DomainError("sqrt of a series with non-positive constant term")
-    v = [ctx.mp.make_mpf(ctx.sqrt(u.coeffs[0]._mpf_))]
-    for k in range(1, len(u)):
-        acc = u.coeffs[k]
-        for j in range(1, k):
-            acc -= v[j] * v[k - j]
-        v.append(acc / (2 * v[0]))
-    return TaylorJet(v, ctx)
-
-
-def jet_abs(u: TaylorJet) -> TaylorJet:
-    if u.coeffs[0] > 0:
-        return u
-    if u.coeffs[0] < 0:
-        return -u
-    raise DomainError("abs of a series with zero constant term is not differentiable")
+    def abs(self, u):
+        if u[0] > 0:
+            return u
+        if u[0] < 0:
+            return self.neg(u)
+        raise DomainError("abs of a series with zero constant term is not differentiable")

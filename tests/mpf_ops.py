@@ -6,14 +6,23 @@ the mpf operators, the elementary functions through mpmath's function
 wrappers, and the domain checks written as comparisons on mpf values.
 """
 
+import operator
+
 from stefbench import DomainError, PrecisionContext
 
 
 class MpfOps:
+    neg, add, sub = operator.neg, operator.add, operator.sub
+    mul, div, pow = operator.mul, operator.truediv, operator.pow
+
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         self.mp = ctx.mp
         self.var = ctx.mpf
+
+    @staticmethod
+    def wrap(x):
+        return x
 
     def const(self, text: str):
         return self.ctx.mpf(text)
