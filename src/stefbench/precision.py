@@ -19,6 +19,7 @@ takes and returns mpf values.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
@@ -163,10 +164,11 @@ class PrecisionContext:
     def full_str(self, x) -> str:
         """All carried digits, for machine-readable output.
 
-        mpmath's ``dps`` is one below bits * log10(2), rounded; two digits
-        more make the text convert back to the same value.
+        ceil(bits * log10(2)) + 1 significant digits tell apart any two
+        values of a bits-bit mantissa, so ``mpf`` of the text at this
+        precision gives back the same value.
         """
-        return self.mp.nstr(x, self.mp.dps + 2)
+        return self.mp.nstr(x, math.ceil(self.bits * math.log10(2)) + 1)
 
     def __repr__(self) -> str:
         return f"PrecisionContext(bits={self.bits})"

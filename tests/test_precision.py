@@ -153,12 +153,30 @@ def test_full_str_round_trips_exactly(ctx):
     assert ctx.mpf(ctx.full_str(y)) == y
 
 
+_ROUND_TRIP_CONTEXTS = {bits: PrecisionContext(bits) for bits in (64, 512, 1024, 1330, 1792)}
+
+
+@settings(max_examples=300, deadline=None)
+@example(bits=512, num=1, den=9, scale=0)
+@example(bits=64, num=1, den=66, scale=0)
+@given(
+    bits=st.sampled_from(sorted(_ROUND_TRIP_CONTEXTS)),
+    num=st.integers(-(10**40), 10**40),
+    den=st.integers(1, 10**40),
+    scale=st.integers(-400, 400),
+)
+def test_full_str_round_trips_random_values(bits, num, den, scale):
+    ctx = _ROUND_TRIP_CONTEXTS[bits]
+    x = ctx.mp.ldexp(ctx.mpf(num) / den, scale)
+    assert ctx.mpf(ctx.full_str(x)) == x
+
+
 def test_decimal_digits_cover_the_mantissa(ctx):
-    # Round-tripping 512 bits of mantissa needs ceil(512 log10 2) + 1 = 155
+    # Round-tripping 512 bits of mantissa needs ceil(512 log10 2) + 1 = 156
     # significant decimal digits; full_str prints them all.
     text = ctx.full_str(ctx.mpf(1) / 3)
     assert text.startswith("0.3")
-    assert len(text) - len("0.") >= 155
+    assert len(text) - len("0.") >= 156
 
 
 def test_nstr_digit_control(ctx):
