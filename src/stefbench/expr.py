@@ -229,7 +229,10 @@ class _Parser:
         if "." in value or "e" in value or "E" in value:
             raise ParseError(f"non-integer exponent {value!r}", pos)
         self.advance()
-        return sign * int(value)
+        try:
+            return sign * int(value)
+        except ValueError:  # more digits than Python's int conversion takes
+            raise ParseError(f"exponent of {len(value)} digits is too long", pos) from None
 
     def atom(self):
         kind, value, pos = self.advance()

@@ -67,6 +67,15 @@ def test_parse_errors_carry_positions(text, position, fragment):
     assert str(info.value).endswith(f"at position {position}")
 
 
+def test_exponents_too_long_for_int_are_parse_errors():
+    # Python converts at most 4300 decimal digits to an int by default.
+    for text, position in (("x^" + "9" * 5000, 2), ("x^-" + "0" * 5000 + "2", 3)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+        assert "digits is too long" in str(info.value)
+
+
 # The four shapes too deep for the parser, each with the offset of the token
 # that crosses MAX_DEPTH: the 100th '(', the 100th 'sin', the 100th '-' and
 # the 100th '+', whose Binary node is the sum's 101st level.

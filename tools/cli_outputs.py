@@ -125,9 +125,9 @@ def _commands():
     for expr in ("sqrt(x) - 1", "abs(x) - 1"):
         for output in ("text", "json"):
             yield ["solve", "--method", "kou", "--expr", expr, "--x0", "0", "--format", output], {}
-    # Parse errors: a missing operand, a non-integer exponent, an unknown
-    # function and an unknown character.
-    for expr in ("x +", "x^0.5", "foo(x)"):
+    # Parse errors: a missing operand, a non-integer exponent, an exponent
+    # too long for int, an unknown function and an unknown character.
+    for expr in ("x +", "x^0.5", "x^" + "9" * 5000, "foo(x)"):
         yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", "1"], {}
     yield ["constant", "--expr", "2 $ x"], {}
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "0"], {}
