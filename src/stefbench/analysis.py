@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InsufficientDataError, SimpleRootError
+from .methods import METHODS
 from .precision import PrecisionContext
 
 # Precision of coc's logarithms: rho's relative error near 2^-127 against 5 printed digits.
@@ -141,5 +142,7 @@ def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorCons
     return ErrorConstantReport(
         c=[c1, c2, c3, c4],
         formula_value=formula,
-        empirical_ratios=[] if trace is None else empirical_ratio(trace, 4, ctx),
+        empirical_ratios=(
+            [] if trace is None else empirical_ratio(trace, METHODS["mkdf"].order, ctx)
+        ),
     )

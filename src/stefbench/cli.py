@@ -303,11 +303,8 @@ def cmd_constant(args) -> int:
     for k, ck in enumerate(report.c, start=1):
         print(f"  c{k} = {format_paper(ck, ctx)}")
     print(f"formula value = {format_paper(report.formula_value, ctx)}")
-    if report.empirical_ratios:
-        rendered = ", ".join(format_paper(r, ctx) for r in report.empirical_ratios)
-        print(f"empirical e(n+1)/e(n)^4 ratios: {rendered}")
-    else:
-        print("empirical e(n+1)/e(n)^4 ratios: none usable")
+    rendered = ", ".join(format_paper(r, ctx) for r in report.empirical_ratios)
+    print(f"empirical e(n+1)/e(n)^{METHODS['mkdf'].order} ratios: {rendered or 'none usable'}")
     if report.agreement is None:
         print("agreement |empirical/formula|: n/a")
     else:
