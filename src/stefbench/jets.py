@@ -54,6 +54,7 @@ class JetOps:
         self.ctx = ctx
         self.order = order
         self.zero = ctx.mpf(0)
+        # The constant series 1; const and var reuse its tail and its head.
         self.one = (ctx.mpf(1),) + (self.zero,) * order
         self.make = ctx.mp.make_mpf
 
@@ -76,7 +77,7 @@ class JetOps:
         return tuple(a + b for a, b in zip(u, v))
 
     def sub(self, u, v):
-        return self.add(u, self.neg(v))
+        return tuple(a - b for a, b in zip(u, v))
 
     def mul(self, u, v):
         zero = self.zero
