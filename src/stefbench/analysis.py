@@ -131,8 +131,7 @@ def error_constant(f, ctx: PrecisionContext, trace=None, root=None) -> ErrorCons
         raise ValueError(
             "no root available: pass root= or a trace solved with a reference_root"
         )
-    jet = f.eval_jet(root, 4, ctx)
-    c1, c2, c3, c4 = jet.coeffs[1], jet.coeffs[2], jet.coeffs[3], jet.coeffs[4]
+    _, c1, c2, c3, c4 = f.eval_jet(root, 4, ctx)
     if abs(c1) < ctx.breakdown_floor:
         raise SimpleRootError(
             f"|f'(root)| = {ctx.nstr(abs(c1))} is below the breakdown floor; "

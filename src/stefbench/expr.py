@@ -26,9 +26,8 @@ evaluate it. The adapter supplies the arithmetic and the elementary
 functions: :class:`HPOps` evaluates to a high-precision scalar, working on
 raw libmp values between one conversion of x in and one mpf out, and
 :class:`stefbench.jets.JetOps` to a Taylor jet, working on coefficient
-tuples between one seed series of x in and one
-:class:`~stefbench.jets.TaylorJet` out. Both take their elementary
-functions from the precision context. Compiling converts
+tuples between one seed series of x in and the result's tuple out. Both
+take their elementary functions from the precision context. Compiling converts
 each decimal literal once, at working precision directly from its text and
 never through a machine float; each call then runs the same operations in
 the same order as a walk over the tree would, so the result and any

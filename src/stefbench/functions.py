@@ -3,7 +3,7 @@
 A :class:`ScalarFunction` bundles the AST with its metadata (a 6-decimal
 reference-root seed and the default initial guess used by the benchmark).
 It evaluates either to a high-precision scalar (``f(x, ctx)``) or to a
-Taylor jet (``f.eval_jet(p, order, ctx)``).
+Taylor jet (``f.eval_jet(p, order, ctx)``), the tuple of its coefficients.
 
 The AST is compiled once per precision context: through
 :class:`~stefbench.expr.HPOps` for the scalar path, and through
@@ -42,8 +42,9 @@ class ScalarFunction:
     def __call__(self, x, ctx: PrecisionContext):
         return self._compiled_for(ctx, None)(x)
 
-    def eval_jet(self, p, order: int, ctx: PrecisionContext) -> jets.TaylorJet:
-        """Expand f around ``p``: coefficient k of the result is f^(k)(p)/k!.
+    def eval_jet(self, p, order: int, ctx: PrecisionContext) -> tuple:
+        """Expand f around ``p``: the tuple of ``order + 1`` mpf coefficients,
+        with f^(k)(p)/k! at index k.
 
         ``order`` must be at least 1.
         """

@@ -9,7 +9,8 @@ normalized Taylor coefficients c_k used throughout the analysis layer.
 :func:`stefbench.expr.compile_ast` of the shape ``HPOps`` has. Between
 entry and exit a jet is a tuple of mpf coefficients, always of the
 adapter's one order; literals enter through ``const``, x through ``var``,
-and the result leaves as one :class:`TaylorJet` through ``wrap``.
+and ``wrap`` hands the result's tuple back unchanged: it is what
+``ScalarFunction.eval_jet`` returns.
 
 All operations are exact truncated-series operations: coefficient k of a
 result depends only on coefficients 0..k of the inputs. The elementary
@@ -24,27 +25,6 @@ from __future__ import annotations
 
 from .errors import DomainError
 from .precision import PrecisionContext
-
-
-class TaylorJet:
-    """The coefficients a_0..a_K that ``eval_jet`` returns, with their context."""
-
-    __slots__ = ("coeffs", "ctx")
-
-    def __init__(self, coeffs, ctx: PrecisionContext):
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) < 1:
-            raise ValueError("a jet needs at least the constant coefficient")
-        self.ctx = ctx
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __repr__(self) -> str:
-        shown = ", ".join(self.ctx.nstr(c, 8) for c in self.coeffs[:5])
-        tail = ", ..." if len(self.coeffs) > 5 else ""
-        return f"TaylorJet([{shown}{tail}], order={self.order})"
 
 
 class JetOps:
@@ -65,8 +45,8 @@ class JetOps:
         """The identity series at ``p``: (p, 1, 0, ..., 0)."""
         return (self.ctx.mpf(p),) + self.one[:-1]
 
-    def wrap(self, u) -> TaylorJet:
-        return TaylorJet(u, self.ctx)
+    def wrap(self, u):
+        return u
 
     # -- arithmetic ------------------------------------------------------
 

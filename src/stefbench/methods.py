@@ -166,7 +166,7 @@ def kou_step(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
 
 def _kou_jet_step(f, x, fx, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutcome:
     """kou with the exact slope f'(x) from a first-order jet."""
-    return kou_step(f, x, fx, theta, f.eval_jet(x, 1, ctx).coeffs[1], ctx)
+    return kou_step(f, x, fx, theta, f.eval_jet(x, 1, ctx)[1], ctx)
 
 
 def kou_fd_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:

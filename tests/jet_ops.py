@@ -7,7 +7,7 @@ the same order as that code did, with the same DomainError messages.
 :class:`JetListOps` binds them into an adapter for the tests' tree walk.
 """
 
-from stefbench import DomainError, PrecisionContext, TaylorJet
+from stefbench import DomainError, PrecisionContext
 
 
 def constant(value, order: int, ctx: PrecisionContext):
@@ -145,7 +145,7 @@ class JetListOps:
         return seed(p, self.order, self.ctx)
 
     def wrap(self, u):
-        return TaylorJet(u, self.ctx)
+        return tuple(u)
 
     def mul(self, u, v):
         return mul(u, v, self.ctx)

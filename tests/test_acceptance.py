@@ -339,7 +339,7 @@ def test_criterion_10_stencil_matches_jets(ctx, roots):
         jet = f.eval_jet(roots[name], 4, ctx)
         stencil = stencil_coefficients(f, roots[name], ctx)
         for k, approx in enumerate(stencil, start=1):
-            rel = abs(approx - jet.coeffs[k]) / abs(jet.coeffs[k])
+            rel = abs(approx - jet[k]) / abs(jet[k])
             worst = max(worst, rel)
             if rel > ctx.mpf("1e-10"):
                 failures.append(f"{name} c{k} rel {ctx.nstr(rel, 3)}")

@@ -103,7 +103,7 @@ def test_too_deep_expressions_are_parse_errors(text, position):
 def test_expressions_at_the_depth_limit_parse_compile_and_round_trip(ctx, text, value):
     f = from_expression(text)
     assert f(ctx.mpf(3), ctx) == value
-    assert f.eval_jet(ctx.mpf(3), 2, ctx).coeffs[0] == value
+    assert f.eval_jet(ctx.mpf(3), 2, ctx)[0] == value
     assert parse(unparse(f.ast)) == f.ast
 
 
@@ -154,7 +154,7 @@ EVERY_FUNCTION = "sqrt(x + 3) + abs(x - 3)/exp(x) + arctan(x)*x - ln(x)*sin(x)*c
 def test_scalar_and_jet_constant_terms_agree_bitwise(f, x0, bits):
     c = PrecisionContext(bits)
     x = c.mpf(x0)
-    assert f(x, c)._mpf_ == f.eval_jet(x, 4, c).coeffs[0]._mpf_
+    assert f(x, c)._mpf_ == f.eval_jet(x, 4, c)[0]._mpf_
 
 
 def test_both_evaluators_call_the_contexts_elementary_functions(monkeypatch):
@@ -308,8 +308,8 @@ def _outcome(run):
         value = run()
     except DomainError as exc:
         return ("DomainError", str(exc))
-    if hasattr(value, "coeffs"):
-        return tuple(c._mpf_ for c in value.coeffs)
+    if isinstance(value, tuple):
+        return tuple(c._mpf_ for c in value)
     return value._mpf_
 
 
@@ -370,7 +370,7 @@ def test_x_is_rounded_to_working_precision():
     third = PrecisionContext(1024).mpf(1) / 3
     f = from_expression("x")
     assert f(third, low)._mpf_ == low.mpf(third)._mpf_
-    assert f.eval_jet(third, 1, low).coeffs[0]._mpf_ == low.mpf(third)._mpf_
+    assert f.eval_jet(third, 1, low)[0]._mpf_ == low.mpf(third)._mpf_
 
 
 def test_each_context_converts_literals_at_its_own_precision():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stefbench import DomainError, PrecisionContext, TaylorJet, from_expression
+from stefbench import DomainError, PrecisionContext, from_expression
 from stefbench.expr import parse, unparse
 from stefbench.jets import JetOps
 from jet_ops import JetListOps
@@ -24,7 +24,7 @@ def test_seed_and_constant_shapes(ctx):
     ops = JetOps(ctx, 4)
     j = ops.var(ctx.mpf(3))
     assert j == (3, 1, 0, 0, 0)
-    assert ops.wrap(j).order == 4
+    assert len(ops.wrap(j)) == 5
     assert JetOps(ctx, 2).const("7") == (7, 0, 0)
 
 
@@ -124,7 +124,7 @@ def test_sin_cos_split_helpers_agree(ctx):
 def test_sin_cos_jets_match_separate_sin_and_cos(bits):
     c = PrecisionContext(bits)
     for text in ("0.3", "-2.7", "1e-30", "1234.5"):
-        u = from_expression("x^2/3 + x").eval_jet(c.mpf(text), 5, c).coeffs
+        u = from_expression("x^2/3 + x").eval_jet(c.mpf(text), 5, c)
         s, co = JetOps(c, 5).sin_cos(u)
         # The same recurrence started from separate sin and cos calls.
         expected_s, expected_c = [c.mp.sin(u[0])], [c.mp.cos(u[0])]
@@ -165,19 +165,19 @@ def test_division_by_zero_constant_term(ctx):
 def test_chain_rule_through_an_expression(ctx, close):
     f = from_expression("exp(sin(x))")
     p = ctx.mpf("0.3")
-    jet = f.eval_jet(p, 1, ctx)
+    slope = f.eval_jet(p, 1, ctx)[1]
     expected = ctx.mp.cos(p) * ctx.mp.exp(ctx.mp.sin(p))
-    assert close(jet.coeffs[1], expected, ulps=4)
+    assert close(slope, expected, ulps=4)
 
 
 def test_f3_jet_at_zero(ctx, close):
     # cos(x) - x at 0: coefficients 1, -1, -1/2, 0, 1/24.
-    jet = from_expression("cos(x) - x").eval_jet(ctx.mpf(0), 4, ctx)
-    assert jet.coeffs[0] == 1
-    assert jet.coeffs[1] == -1
-    assert jet.coeffs[2] == -ctx.mpf(1) / 2
-    assert jet.coeffs[3] == 0
-    assert close(jet.coeffs[4], ctx.mpf(1) / 24, ulps=4)
+    c0, c1, c2, c3, c4 = from_expression("cos(x) - x").eval_jet(ctx.mpf(0), 4, ctx)
+    assert c0 == 1
+    assert c1 == -1
+    assert c2 == -ctx.mpf(1) / 2
+    assert c3 == 0
+    assert close(c4, ctx.mpf(1) / 24, ulps=4)
 
 
 def test_eval_jet_requires_positive_order(ctx):
@@ -185,9 +185,12 @@ def test_eval_jet_requires_positive_order(ctx):
         from_expression("x").eval_jet(ctx.mpf(1), 0, ctx)
 
 
-def test_jet_needs_a_constant_coefficient(ctx):
-    with pytest.raises(ValueError):
-        TaylorJet([], ctx)
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_eval_jet_returns_a_tuple_of_order_plus_one_mpfs(ctx, order):
+    jet = from_expression("exp(x) + sin(x)").eval_jet(ctx.mpf("0.5"), order, ctx)
+    assert type(jet) is tuple
+    assert len(jet) == order + 1
+    assert all(type(c) is ctx.mp.mpf for c in jet)
 
 
 @settings(max_examples=60, deadline=None)

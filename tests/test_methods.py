@@ -234,7 +234,7 @@ def test_central_slope_approximates_the_derivative_near_a_root(ctx):
     f = BUILTINS["f3"]
     x = ctx.mpf("0.74")
     slope = central_diff_slope(f, x, f(x, ctx), ctx)
-    exact = f.eval_jet(x, 1, ctx).coeffs[1]
+    exact = f.eval_jet(x, 1, ctx)[1]
     assert abs(slope - exact) < ctx.mpf("1e-6")
 
 
@@ -245,7 +245,7 @@ def test_central_slope_approximates_the_derivative_near_a_root(ctx):
 _SLOPES = {
     "central": (mkdf_step, lambda f, x, fx, ctx: (f(x + fx, ctx) - f(x - fx, ctx)) / (2 * fx)),
     "forward": (kou_fd_step, lambda f, x, fx, ctx: (f(x + fx, ctx) - fx) / fx),
-    "jet": (METHODS["kou"].step, lambda f, x, fx, ctx: f.eval_jet(x, 1, ctx).coeffs[1]),
+    "jet": (METHODS["kou"].step, lambda f, x, fx, ctx: f.eval_jet(x, 1, ctx)[1]),
 }
 
 
