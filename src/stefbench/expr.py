@@ -327,7 +327,7 @@ class HPOps:
     def __init__(self, ctx: PrecisionContext):
         self.ctx = ctx
         mpf = ctx.mpf
-        prec, rnd = ctx.mp._prec_rounding  # what the mpf operators read
+        prec, rnd = ctx._prec, ctx._rnd  # what the mpf operators read
 
         def var(x):
             try:

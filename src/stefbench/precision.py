@@ -54,7 +54,7 @@ class PrecisionContext:
         # The underlying mpmath context, for callers needing the full API.
         self.mp = mp = MPContext()
         mp.prec = bits
-        # The precision and rounding that mpmath's functions read.
+        # The precision and rounding that mpf operators and mpmath's functions read.
         self._prec, self._rnd = mp._prec_rounding
         two = mp.mpf(2)
         # Exact rational exponents: 0.9*bits = 9*bits/10, 0.95*bits = 19*bits/20,
