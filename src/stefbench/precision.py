@@ -15,20 +15,29 @@ infinity (``ln``, ``sqrt``), and for ``sin``, ``cos`` or ``exp`` of a
 magnitude of 2^bits or more: such an argument has no fractional bits
 left, and mpmath's time for it grows with the magnitude. Only ``log10``
 takes and returns mpf values.
+
+``mpf`` reads plain decimal text itself, correctly rounded at any length,
+so the text ``full_str`` prints reads back at every precision.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import finf, fninf, fzero
+from mpmath.libmp import finf, fninf, from_int, from_rational, fzero
 from mpmath.libmp import mpf_atan, mpf_cos, mpf_cos_sin, mpf_exp, mpf_log, mpf_sin, mpf_sqrt
 
 from .errors import DomainError, InvalidPrecisionError
 
 MIN_BITS = 64
+
+# Plain decimal text: a sign, digits with at most one point, an exponent.
+_DECIMAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
+# Digits per int() call, below CPython's default limit of 4300.
+_CHUNK_DIGITS = 4000
 
 
 class PrecisionContext:
@@ -81,8 +90,48 @@ class PrecisionContext:
 
         Decimal text is parsed directly at this context's precision; prefer
         strings over floats so literals are never staged through binary64.
+        Plain decimal text is rounded once and correctly, however many
+        digits it has (see ``_read_decimal``); every other value goes
+        through mpmath's own conversion.
         """
+        if isinstance(value, str):
+            raw = self._read_decimal(value)
+            if raw is not None:
+                return self.mp.make_mpf(raw)
         return self.mp.mpf(value)
+
+    def _read_decimal(self, text: str):
+        """The raw value of plain decimal text, or None for any other text.
+
+        The text is m * 10^k with an integer m of any length, read in
+        chunks that CPython's int() accepts. The result is m * 10^k or
+        m / 10^-k rounded once, the exact conversion mpmath itself makes
+        for |k| <= 400; above that mpmath scales by 10^k with 10 guard
+        bits, with no rounding guarantee. The exact quotient's cost grows
+        with |k|^2, so text with |k| beyond 400 + 4 * bits, far outside
+        anything ``full_str`` prints for values this program meets, is
+        left to mpmath.
+        """
+        match = _DECIMAL.fullmatch(text)
+        if match is None:
+            return None
+        sign, whole, frac, exp = match.groups()
+        frac = frac or ""
+        if not (whole or frac.strip("0")):  # mpmath rejects "." and ".0"
+            return None
+        digits = whole + frac
+        k = int(exp or 0) - len(frac)
+        if abs(k) > 400 + 4 * self.bits:
+            return None
+        man = 0
+        for start in range(0, len(digits), _CHUNK_DIGITS):
+            chunk = digits[start : start + _CHUNK_DIGITS]
+            man = man * 10 ** len(chunk) + int(chunk)
+        if sign == "-":
+            man = -man
+        if k >= 0:
+            return from_int(man * 10**k, self._prec, self._rnd)
+        return from_rational(man, 10**-k, self._prec, self._rnd)
 
     # -- domain checks on raw values ------------------------------------
     #

@@ -1,8 +1,11 @@
 """PrecisionContext: validation, floors, unit roundoff, domain guards, rendering."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import to_rational
 
 from stefbench import (
     BUILTINS,
@@ -153,12 +156,17 @@ def test_full_str_round_trips_exactly(ctx):
     assert ctx.mpf(ctx.full_str(y)) == y
 
 
-_ROUND_TRIP_CONTEXTS = {bits: PrecisionContext(bits) for bits in (64, 512, 1024, 1330, 1792)}
+# 16384 bits prints 4935 significant digits, more than CPython's int()
+# reads from text by default (4300).
+_ROUND_TRIP_CONTEXTS = {
+    bits: PrecisionContext(bits) for bits in (64, 512, 1024, 1330, 1792, 16384)
+}
 
 
 @settings(max_examples=300, deadline=None)
 @example(bits=512, num=1, den=9, scale=0)
 @example(bits=64, num=1, den=66, scale=0)
+@example(bits=16384, num=1, den=3, scale=0)
 @given(
     bits=st.sampled_from(sorted(_ROUND_TRIP_CONTEXTS)),
     num=st.integers(-(10**40), 10**40),
@@ -169,6 +177,62 @@ def test_full_str_round_trips_random_values(bits, num, den, scale):
     ctx = _ROUND_TRIP_CONTEXTS[bits]
     x = ctx.mp.ldexp(ctx.mpf(num) / den, scale)
     assert ctx.mpf(ctx.full_str(x)) == x
+
+
+def test_full_str_of_a_tiny_value_round_trips_below_14300_bits():
+    # full_str pads a value down to about 10^(-digits/3) with zeros, so at
+    # 12288 bits 2^-3900/3 prints 1174 zeros before its 3700 digits.
+    ctx = PrecisionContext(12288)
+    x = ctx.mp.ldexp(ctx.mpf(1) / 3, -3900)
+    text = ctx.full_str(x)
+    assert len(text) > 4300
+    assert ctx.mpf(text) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bits=st.sampled_from([64, 113, 512]),
+    sign=st.sampled_from(["", "-", "+"]),
+    digits=st.text("0123456789", max_size=60),
+    point=st.integers(-1, 60),
+    exponent=st.one_of(st.just(""), st.integers(-300, 300).map(lambda k: f"e{k}")),
+)
+def test_short_decimal_text_reads_as_mpmath_reads_it(bits, sign, digits, point, exponent):
+    # Below a decimal exponent of 400 mpmath's reader is exact, so the two
+    # readers agree bit for bit, and on which texts are errors (".", ".0").
+    ctx = PrecisionContext(bits)
+    body = digits if point < 0 else f"{digits[:point]}.{digits[point:]}"
+    text = sign + body + exponent
+
+    def outcome(read):
+        try:
+            return read(text)._mpf_
+        except ValueError:
+            return "ValueError"
+
+    assert outcome(ctx.mpf) == outcome(ctx.mp.mpf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.sampled_from([64, 113, 512]),
+    man=st.integers(-(10**60), 10**60),
+    k=st.integers(-3000, 3000),
+)
+def test_decimal_text_is_correctly_rounded_at_any_exponent(bits, man, k):
+    ctx = PrecisionContext(bits)
+    exact = Fraction(man) * Fraction(10) ** k
+    got = ctx.mpf(f"{man}e{k}")
+    # No neighbour one ulp either side is nearer to the exact value.
+    ulp = ctx.mp.ldexp(1, ctx.mp.mag(got) - bits) if got else 0
+    err = abs(Fraction(*to_rational(got._mpf_)) - exact)
+    for neighbour in (got - ulp, got + ulp):
+        assert err <= abs(Fraction(*to_rational(neighbour._mpf_)) - exact)
+
+
+@pytest.mark.parametrize("value", [" 1", "1_0", "inf", "-inf", "1/3", 3, 0.1])
+def test_other_values_take_mpmaths_conversion(ctx, value):
+    assert ctx.mpf(value)._mpf_ == ctx.mp.mpf(value)._mpf_
 
 
 def test_decimal_digits_cover_the_mantissa(ctx):
