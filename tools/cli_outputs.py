@@ -9,6 +9,14 @@ in-process through ``stefbench.cli.main``. Each line printed is
 
 so ``diff`` of the output for two checkouts lists exactly the commands
 whose output or exit code changed. Standard library only.
+
+``tools/cli_outputs.txt`` is this output for the repository's own
+checkout, under a first line naming the Python that made it, and
+``tests/test_cli_outputs.py`` compares a fresh run with it. A change
+that moves output records the file again:
+
+    python -c 'import sys; print("# python", sys.version.split()[0])' > tools/cli_outputs.txt
+    python tools/cli_outputs.py . >> tools/cli_outputs.txt
 """
 
 from __future__ import annotations
@@ -72,6 +80,14 @@ def _commands():
             yield ["constant", "--function", name, "--precision-bits", bits], {}
     yield ["constant", "--expr", "x + x^2"], {}
     yield ["constant", "--expr", "exp(x) - 2", "--x0", "0.7"], {}
+    # A refinement whose 704-bit rung fails, so the full-precision solve
+    # starts again from the seed and fails too.
+    yield ["constant", "--expr", "x^2 + 1", "--x0", "0.5", "--precision-bits", "2048"], {}
+    # A root where every c_k above c1 is zero: no ratio, no agreement.
+    yield ["constant", "--expr", "x - 0.5", "--x0", "0.3"], {}
+    # The top of the precision range, with values of 4935 digits.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", "16384",
+           "--format", "json"], {}
     # The order path's edges: exactly one rho, errors that fall below the
     # usability floor mid-run, one ratio, and a run that stops at x0.
     yield ["coc", "--method", "mkdf", "--function", "f3", "--iterations", "2"], {}
@@ -154,6 +170,8 @@ def _commands():
 
 
 def _run(main, argv, env):
+    """The fingerprint line of one command, and whether its output holds
+    argparse's usage text, which changes between Python versions."""
     out, err = io.StringIO(), io.StringIO()
     os.environ.update(env)
     try:
@@ -165,9 +183,21 @@ def _run(main, argv, env):
     finally:
         for name in env:
             del os.environ[name]
-    digest = hashlib.sha256(f"{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+    text = f"{out.getvalue()}\0{err.getvalue()}"
+    digest = hashlib.sha256(text.encode()).hexdigest()
     shown = " ".join(f"{k}={shlex.quote(v)}" for k, v in env.items())
-    return f"{digest} {code} {(shown + ' ') if shown else ''}stefbench {shlex.join(argv)}"
+    line = f"{digest} {code} {(shown + ' ') if shown else ''}stefbench {shlex.join(argv)}"
+    return line, "usage:" in text
+
+
+def fingerprints(main):
+    """Yield (line, usage) for every command, run in order through ``main``.
+
+    The caller sets up the environment that ``main`` below does: no
+    STEFBENCH_PRECISION_BITS, and COLUMNS=80.
+    """
+    for command, env in _commands():
+        yield _run(main, command, env)
 
 
 def main(argv) -> int:
@@ -183,8 +213,8 @@ def main(argv) -> int:
     if not Path(cli.__file__).resolve().is_relative_to(src):
         print(f"error: stefbench was imported from {cli.__file__}, not {src}", file=sys.stderr)
         return 2
-    for command, env in _commands():
-        print(_run(cli.main, command, env), flush=True)
+    for line, _ in fingerprints(cli.main):
+        print(line, flush=True)
     return 0
 
 
