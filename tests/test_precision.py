@@ -156,17 +156,19 @@ def test_full_str_round_trips_exactly(ctx):
     assert ctx.mpf(ctx.full_str(y)) == y
 
 
-# 16384 bits prints 4935 significant digits, more than CPython's int()
-# reads from text by default (4300).
 _ROUND_TRIP_CONTEXTS = {
-    bits: PrecisionContext(bits) for bits in (64, 512, 1024, 1330, 1792, 16384)
+    bits: PrecisionContext(bits) for bits in (64, 512, 1024, 1330, 1792, 12288, 16384)
 }
 
 
 @settings(max_examples=300, deadline=None)
 @example(bits=512, num=1, den=9, scale=0)
 @example(bits=64, num=1, den=66, scale=0)
+# Texts longer than the 4300 digits CPython's int() reads by default: 4935
+# significant digits at 16384 bits, and at 12288 bits 3700 digits after
+# the 1174 zeros that full_str's fixed notation puts before a tiny value.
 @example(bits=16384, num=1, den=3, scale=0)
+@example(bits=12288, num=1, den=3, scale=-3900)
 @given(
     bits=st.sampled_from(sorted(_ROUND_TRIP_CONTEXTS)),
     num=st.integers(-(10**40), 10**40),
@@ -177,16 +179,6 @@ def test_full_str_round_trips_random_values(bits, num, den, scale):
     ctx = _ROUND_TRIP_CONTEXTS[bits]
     x = ctx.mp.ldexp(ctx.mpf(num) / den, scale)
     assert ctx.mpf(ctx.full_str(x)) == x
-
-
-def test_full_str_of_a_tiny_value_round_trips_below_14300_bits():
-    # full_str pads a value down to about 10^(-digits/3) with zeros, so at
-    # 12288 bits 2^-3900/3 prints 1174 zeros before its 3700 digits.
-    ctx = PrecisionContext(12288)
-    x = ctx.mp.ldexp(ctx.mpf(1) / 3, -3900)
-    text = ctx.full_str(x)
-    assert len(text) > 4300
-    assert ctx.mpf(text) == x
 
 
 @settings(max_examples=300, deadline=None)
