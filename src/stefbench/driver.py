@@ -138,7 +138,7 @@ def solve(
         for _ in range(steps):
             if abs(fx) <= tol:
                 break
-            x = stepper(counted, x, fx, ctx).next
+            x = stepper(counted, x, fx, ctx)
             fx = counted(x, ctx)
             iterates.append(TraceEntry(x, fx))
             if not abs(x) <= bound:  # so that a NaN iterate diverges too

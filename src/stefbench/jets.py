@@ -32,7 +32,6 @@ class JetOps:
 
     def __init__(self, ctx: PrecisionContext, order: int):
         self.ctx = ctx
-        self.order = order
         self.zero = ctx.mpf(0)
         # The constant series 1; const and var reuse its tail and its head.
         self.one = (ctx.mpf(1),) + (self.zero,) * order

@@ -1,12 +1,13 @@
 """One-step iteration kernels and the registry that describes them.
 
-Every kernel is a pure function ``(f, x, fx, ctx) -> StepOutcome`` taking
-f as a callable ``f(x, ctx)`` and ``fx = f(x, ctx)``, which the driver has
+Every kernel is a pure function ``(f, x, fx, ctx) -> x'`` taking f as a
+callable ``f(x, ctx)`` and ``fx = f(x, ctx)``, which the driver has
 already evaluated for the trace, so a kernel never evaluates f at x
-itself. Denominators are checked against ``ctx.breakdown_floor`` and
-raise :class:`BreakdownError` when too small; no kernel falls back to a
-different formula, so a benchmark run shows exactly where each printed
-method fails.
+itself. It returns the next iterate x' alone, an mpf of ``ctx``; an
+intermediate point such as y is computed only for f(y). Denominators are
+checked against ``ctx.breakdown_floor`` and raise :class:`BreakdownError`
+when too small; no kernel falls back to a different formula, so a
+benchmark run shows exactly where each printed method fails.
 
 The difference ``D = f(x + f(x)) - f(x - f(x))`` that appears twice in the
 two-line methods is computed once and reused, which changes nothing
@@ -32,11 +33,6 @@ from .precision import PrecisionContext
 MKDF_THETA = -1
 
 
-class StepOutcome(NamedTuple):
-    next: object
-    aux: object | None
-
-
 class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
     """A method identifier; ``theta`` only applies to the kou family.
 
@@ -60,7 +56,7 @@ class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
         return super().__new__(cls, tag, theta)
 
     def stepper(self):
-        """Bind this kind to a ``(f, x, fx, ctx) -> StepOutcome`` callable."""
+        """Bind this kind to a ``(f, x, fx, ctx) -> x'`` callable."""
         step = METHODS[self.tag].step
         return step if self.theta is None else partial(step, theta=self.theta)
 
@@ -99,34 +95,34 @@ def central_diff_slope(f, x, fx, ctx: PrecisionContext):
     return d / (2 * fx)
 
 
-def steffensen_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def steffensen_step(f, x, fx, ctx: PrecisionContext):
     d = _forward_difference(f, x, fx, ctx)
-    return StepOutcome(x - fx**2 / d, None)
+    return x - fx**2 / d
 
 
-def jain_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def jain_step(f, x, fx, ctx: PrecisionContext):
     d = _forward_difference(f, x, fx, ctx)
     y = x - fx**2 / d
     fy = f(y, ctx)
     _check_denominator(fx - fy, "f(x) - f(y)", ctx)
-    return StepOutcome(x - fx**3 / (d * (fx - fy)), y)
+    return x - fx**3 / (d * (fx - fy))
 
 
-def dehghan1_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def dehghan1_step(f, x, fx, ctx: PrecisionContext):
     d = _central_difference(f, x, fx, ctx)
     y = x - 2 * fx**2 / d
     fy = f(y, ctx)
-    return StepOutcome(x - 2 * fx * (fx + fy) / d, y)
+    return x - 2 * fx * (fx + fy) / d
 
 
-def dehghan2_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def dehghan2_step(f, x, fx, ctx: PrecisionContext):
     d = _central_difference(f, x, fx, ctx)
     y = x + 2 * fx**2 / d
     fy = f(y, ctx)
-    return StepOutcome(x - 2 * fx * (fy - fx) / d, y)
+    return x - 2 * fx * (fy - fx) / d
 
 
-def dehghan3_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def dehghan3_step(f, x, fx, ctx: PrecisionContext):
     """The three-step variant exactly as printed.
 
     x' = x - 2 f(x) / [f(y) fu + f(x) fv] with fu, fv the symmetric
@@ -141,18 +137,18 @@ def dehghan3_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
     fv = f(y + fy, ctx) - f(y - fy, ctx)
     denom = fy * fu + fx * fv
     _check_denominator(denom, "f(y)*fu + f(x)*fv", ctx)
-    return StepOutcome(x - 2 * fx / denom, y)
+    return x - 2 * fx / denom
 
 
-def cordero_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def cordero_step(f, x, fx, ctx: PrecisionContext):
     t = 2 * fx**2 / _central_difference(f, x, fx, ctx)
     y = x - t
     fy = f(y, ctx)
     _check_denominator(2 * fy - fx, "2f(y) - f(x)", ctx)
-    return StepOutcome(x - t * (fy - fx) / (2 * fy - fx), y)
+    return x - t * (fy - fx) / (2 * fy - fx)
 
 
-def kou_step(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
+def kou_step(f, x, fx, theta, s, ctx: PrecisionContext):
     """Kou family member with parameter theta and supplied slope s."""
     _check_denominator(s, "slope", ctx)
     y = x - fx / s
@@ -161,21 +157,21 @@ def kou_step(f, x, fx, theta, s, ctx: PrecisionContext) -> StepOutcome:
     if theta != 1:
         _check_denominator(fx - fy, "f(x) - f(y)", ctx)
         nxt = nxt - (1 - theta) * fx**2 / (s * (fx - fy))
-    return StepOutcome(nxt, y)
+    return nxt
 
 
-def _kou_jet_step(f, x, fx, ctx: PrecisionContext, theta=MKDF_THETA) -> StepOutcome:
+def _kou_jet_step(f, x, fx, ctx: PrecisionContext, theta=MKDF_THETA):
     """kou with the exact slope f'(x) from a first-order jet."""
     return kou_step(f, x, fx, theta, f.eval_jet(x, 1, ctx)[1], ctx)
 
 
-def kou_fd_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def kou_fd_step(f, x, fx, ctx: PrecisionContext):
     """theta = -1 with the forward-difference slope [f(x+f(x)) - f(x)]/f(x)."""
     _check_denominator(fx, "f(x)", ctx)
     return kou_step(f, x, fx, MKDF_THETA, _forward_difference(f, x, fx, ctx) / fx, ctx)
 
 
-def mkdf_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
+def mkdf_step(f, x, fx, ctx: PrecisionContext):
     """Fourth-order derivative-free kernel: kou theta = -1 with the
     central difference quotient as slope."""
     return kou_step(f, x, fx, MKDF_THETA, central_diff_slope(f, x, fx, ctx), ctx)
@@ -184,7 +180,7 @@ def mkdf_step(f, x, fx, ctx: PrecisionContext) -> StepOutcome:
 class Method(NamedTuple):
     """One registry entry, the one source of every per-method fact.
 
-    ``step`` is the ``(f, x, fx, ctx) -> StepOutcome`` kernel, ``order``
+    ``step`` is the ``(f, x, fx, ctx) -> x'`` kernel, ``order``
     the claimed convergence order, ``evals`` the f-evaluations per step,
     f(x_n) included (the kernel spends ``evals - 1`` of them; jet
     evaluations are not f-evaluations), and ``in_tables`` whether the

@@ -11,6 +11,7 @@ from stefbench import (
     FIXED_COUNT_COMPLETED,
     BreakdownError,
     MethodKind,
+    PrecisionContext,
     SolveConfig,
     claimed_order,
     from_expression,
@@ -44,7 +45,7 @@ def test_one_step_exact_on_dyadic_affine(ctx, tag):
     f = from_expression("2*x - 3")
     x0 = ctx.mpf(0)
     out = METHODS[tag].step(f, x0, f(x0, ctx), ctx)
-    assert out.next == ctx.mpf("1.5")
+    assert out == ctx.mpf("1.5")
 
 
 @pytest.mark.parametrize("theta", [-1, 1, 2])
@@ -52,7 +53,7 @@ def test_kou_one_step_exact_on_dyadic_affine(ctx, theta):
     f = from_expression("2*x - 3")
     x0 = ctx.mpf(0)
     out = kou_step(f, x0, f(x0, ctx), theta, ctx.mpf(2), ctx)
-    assert out.next == ctx.mpf("1.5")
+    assert out == ctx.mpf("1.5")
 
 
 def test_dehghan3_identity_probe_gives_three_quarters(ctx):
@@ -60,7 +61,7 @@ def test_dehghan3_identity_probe_gives_three_quarters(ctx):
     # its pinned behaviour is f(x) = x from 1 -> 3/4.
     f = from_expression("x")
     out = dehghan3_step(f, ctx.mpf(1), f(ctx.mpf(1), ctx), ctx)
-    assert out.next == ctx.mpf(3) / 4
+    assert out == ctx.mpf(3) / 4
 
 
 # -- exact-rational one-step oracles --------------------------------------
@@ -118,17 +119,18 @@ def test_one_step_matches_exact_rational_arithmetic(ctx, close, tag):
     out = METHODS[tag].step(f, ctx.mpf(1), f(ctx.mpf(1), ctx), ctx)
     expected = _frac_expected(tag)
     as_mpf = ctx.mpf(expected.numerator) / ctx.mpf(expected.denominator)
-    assert close(out.next, as_mpf, ulps=8)
+    assert close(out, as_mpf, ulps=8)
 
 
-def test_dehghan_intermediate_points_are_dyadic_here(ctx):
-    # On x^2 - 2 from 1 the first-stage point is y = 1 +/- 2/(-4) wait:
-    # D = f(0) - f(2) = -4, so dehghan1's y = 1 - 2/(-4) = 3/2 and
-    # dehghan2's y = 1 + 2/(-4) = 1/2, both exact.
+def test_dehghan_steps_are_exact_where_every_point_is_dyadic(ctx):
+    # On x^2 - 2 from 1, f(x) = -1 and D = f(0) - f(2) = -4, so dehghan1's
+    # y = 1 - 2/(-4) = 3/2 and dehghan2's y = 1 + 2/(-4) = 1/2, with
+    # f(y) = 1/4 and -7/4. Then f(x) + f(y) and f(y) - f(x) are both -3/4,
+    # and both updates land on 1 - 2(-1)(-3/4)/(-4) = 11/8 with no rounding.
     f = from_expression("x^2 - 2")
     x0 = ctx.mpf(1)
-    assert dehghan1_step(f, x0, f(x0, ctx), ctx).aux == ctx.mpf(3) / 2
-    assert dehghan2_step(f, x0, f(x0, ctx), ctx).aux == ctx.mpf(1) / 2
+    assert dehghan1_step(f, x0, f(x0, ctx), ctx) == ctx.mpf(11) / 8
+    assert dehghan2_step(f, x0, f(x0, ctx), ctx) == ctx.mpf(11) / 8
 
 
 # -- evaluation counts ----------------------------------------------------
@@ -149,11 +151,6 @@ def test_kou_with_supplied_slope_costs_two_calls(ctx):
     x0 = ctx.mpf(1)
     kou_step(counter, x0, counter(x0, ctx), -1, ctx.mpf("-1.5"), ctx)
     assert counter.calls == 2
-
-
-def test_steffensen_has_no_intermediate_point(ctx):
-    f, x0 = BUILTINS["f3"], ctx.mpf(1)
-    assert steffensen_step(f, x0, f(x0, ctx), ctx).aux is None
 
 
 # -- breakdown guards ------------------------------------------------------
@@ -264,8 +261,7 @@ def test_mkdf_is_kou_theta_minus_one_with_central_slope(ctx, slope, name):
     fx = f(x, ctx)
     via_kou = kou_step(f, x, fx, -1, slope_of(f, x, fx, ctx), ctx)
     via_step = step(f, x, fx, ctx)
-    assert via_step.next == via_kou.next
-    assert via_step.aux == via_kou.aux
+    assert via_step == via_kou
 
 
 # -- method metadata ---------------------------------------------------------
@@ -306,7 +302,19 @@ def test_table_methods_are_the_published_columns():
 def test_kou_kind_stepper_uses_the_jet_slope_and_is_exact_on_affine(ctx):
     f = from_expression("2*x - 3")
     stepper = MethodKind("kou").stepper()
-    assert stepper(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx).next == ctx.mpf("1.5")
+    assert stepper(f, ctx.mpf(0), f(ctx.mpf(0), ctx), ctx) == ctx.mpf("1.5")
+
+
+@pytest.mark.parametrize("bits", [64, 512])
+@pytest.mark.parametrize("tag", METHOD_TAGS)
+def test_kernels_return_the_next_iterate_as_an_mpf_of_the_context(bits, tag):
+    ctx = PrecisionContext(bits)
+    f = BUILTINS["f3"]
+    x = ctx.mpf(f.default_x0)
+    fx = f(x, ctx)
+    mpf = type(ctx.mpf(0))
+    assert type(METHODS[tag].step(f, x, fx, ctx)) is mpf
+    assert type(MethodKind(tag).stepper()(f, x, fx, ctx)) is mpf
 
 
 def test_kou_theta_is_normalised_once():

@@ -20,7 +20,6 @@ from stefbench import (
     PrecisionContext,
     ScalarFunction,
     SolveConfig,
-    StepOutcome,
     dehghan1_step,
     dehghan2_step,
     from_expression,
@@ -409,7 +408,7 @@ def test_the_replay_equals_direct_runs_of_each_count(selection):
 def _three_step_residual(step, f, x0, ctx):
     x = x0
     for _ in range(3):
-        x = step(f, x, f(x, ctx), ctx).next
+        x = step(f, x, f(x, ctx), ctx)
     return abs(f(x, ctx))
 
 
@@ -424,7 +423,7 @@ def _dehghan3_variant_step(f, x, fx, ctx):
     y = x - 2 * fx**2 / fu
     fy = f(y, ctx)
     fv = f(y + fy, ctx) - f(y - fy, ctx)
-    return StepOutcome(x - 4 * fx**2 * fy / (fy * fu + fx * fv), y)
+    return x - 4 * fx**2 * fy / (fy * fu + fx * fv)
 
 
 def _printed_replays(step, tag, ctx):
