@@ -191,7 +191,9 @@ def test_full_str_round_trips_random_values(bits, num, den, scale):
 )
 def test_short_decimal_text_reads_as_mpmath_reads_it(bits, sign, digits, point, exponent):
     # Below a decimal exponent of 400 mpmath's reader is exact, so the two
-    # readers agree bit for bit, and on which texts are errors (".", ".0").
+    # readers agree bit for bit, and on which texts are errors ("."). The
+    # one exception: text whose only digits are zeros after the point
+    # (".0", "-.00e5") reads as zero, where mpmath raises.
     ctx = PrecisionContext(bits)
     body = digits if point < 0 else f"{digits[:point]}.{digits[point:]}"
     text = sign + body + exponent
@@ -202,10 +204,26 @@ def test_short_decimal_text_reads_as_mpmath_reads_it(bits, sign, digits, point, 
         except ValueError:
             return "ValueError"
 
-    assert outcome(ctx.mpf) == outcome(ctx.mp.mpf)
+    if point == 0 and digits and not digits.strip("0"):
+        assert outcome(ctx.mpf) == ctx.mpf(0)._mpf_
+    else:
+        assert outcome(ctx.mpf) == outcome(ctx.mp.mpf)
+
+
+@pytest.mark.parametrize("text", [".0", "-.00", "+.0", ".0e7", "-.000e-5"])
+def test_zeros_after_a_bare_point_read_as_zero(ctx, text):
+    assert ctx.mpf(text) == 0
+
+
+@pytest.mark.parametrize("text", [".", "-.", ".e5", "-e5", ""])
+def test_text_without_a_digit_keeps_mpmaths_error(ctx, text):
+    with pytest.raises(ValueError, match="could not convert string to float"):
+        ctx.mpf(text)
 
 
 @settings(max_examples=200, deadline=None)
+@example(bits=113, man=781, k=-1562)
+@example(bits=64, man=-(10**60) + 1, k=3000)
 @given(
     bits=st.sampled_from([64, 113, 512]),
     man=st.integers(-(10**60), 10**60),

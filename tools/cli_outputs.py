@@ -88,6 +88,7 @@ def _commands():
     # The top of the precision range, with values of 4935 digits.
     yield ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", "16384",
            "--format", "json"], {}
+    yield ["coc", "--method", "mkdf", "--function", "f3", "--precision-bits", "16384"], {}
     # The order path's edges: exactly one rho, errors that fall below the
     # usability floor mid-run, one ratio, and a run that stops at x0.
     yield ["coc", "--method", "mkdf", "--function", "f3", "--iterations", "2"], {}
@@ -146,6 +147,12 @@ def _commands():
     for expr in ("x +", "x^0.5", "x^" + "9" * 5000, "foo(x)"):
         yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", "1"], {}
     yield ["constant", "--expr", "2 $ x"], {}
+    # Decimal text with only zeros after a bare point, as --x0 and as a
+    # literal; text the reader leaves to mpmath, a fraction and a bare point.
+    yield ["solve", "--method", "mkdf", "--expr", "x", "--x0", ".0"], {}
+    yield ["solve", "--method", "mkdf", "--expr", "x - .0", "--x0", "1"], {}
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1/3"], {}
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--x0=."], {}
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "0"], {}
     yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "3", "--tol", "1e-3"], {}
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3",
