@@ -66,19 +66,6 @@ def _count(n, noun) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
-def _context_from(args) -> PrecisionContext:
-    bits = args.precision_bits
-    if bits is None:
-        raw = os.environ.get("STEFBENCH_PRECISION_BITS", str(DEFAULT_BITS))
-        try:
-            bits = int(raw)
-        except ValueError:
-            raise InvalidPrecisionError(
-                f"STEFBENCH_PRECISION_BITS must be an integer, got {raw!r}"
-            ) from None
-    return PrecisionContext(bits)
-
-
 def _write(fmt, payload, rows, fields, text) -> None:
     """Print ``payload`` as JSON, its row list ``payload[rows]`` as CSV, or call ``text()``.
 
@@ -147,7 +134,7 @@ def _solve_text(kind, f, x0, trace, ctx):
 
 
 def cmd_solve(args) -> int:
-    ctx = _context_from(args)
+    ctx = PrecisionContext(args.precision_bits)
     f = _resolve_function(args)
     kind = _make_kind(args)
     x0 = _resolve_x0(args, f)
@@ -213,7 +200,7 @@ def _bench_text(report, threshold, ctx):
 
 
 def cmd_bench(args) -> int:
-    ctx = _context_from(args)
+    ctx = PrecisionContext(args.precision_bits)
     if not 0 <= args.threshold <= 1:
         raise ValueError(f"--threshold must be in [0, 1], got {args.threshold}")
     report = run_benchmark(
@@ -275,7 +262,7 @@ def _analysis_run(kind, f, x0, seed, iterations, ctx):
 
 
 def cmd_coc(args) -> int:
-    ctx = _context_from(args)
+    ctx = PrecisionContext(args.precision_bits)
     f = get_function(args.function)
     kind = _make_kind(args)
     x0 = _resolve_x0(args, f)
@@ -293,7 +280,7 @@ def cmd_coc(args) -> int:
 
 
 def cmd_constant(args) -> int:
-    ctx = _context_from(args)
+    ctx = PrecisionContext(args.precision_bits)
     f = _resolve_function(args)
     seed = args.x0 if args.x0 is not None else (f.default_x0 or "0.1")
     trace = _analysis_run(MethodKind("mkdf"), f, seed, seed, args.iterations, ctx)
@@ -336,9 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--precision-bits",
         type=int,
-        default=None,
+        default=DEFAULT_BITS,
         metavar="BITS",
-        help=f"working precision in bits (default {DEFAULT_BITS}, or STEFBENCH_PRECISION_BITS)",
+        help=f"working precision in bits (default {DEFAULT_BITS})",
     )
 
     parser = argparse.ArgumentParser(

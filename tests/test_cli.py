@@ -22,11 +22,6 @@ from stefbench.cli import format_paper, main
 from stefbench.driver import MAX_ITERATIONS
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("STEFBENCH_PRECISION_BITS", raising=False)
-
-
 # -- solve --------------------------------------------------------------
 
 
@@ -290,22 +285,11 @@ def test_precision_bits_flag(capsys):
     assert _solved_bits(capsys, argv) == 128
 
 
-def test_precision_bits_env(capsys, monkeypatch):
-    monkeypatch.setenv("STEFBENCH_PRECISION_BITS", "256")
-    assert _solved_bits(capsys, ["solve", "--method", "mkdf", "--function", "f3"]) == 256
-
-
-def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("STEFBENCH_PRECISION_BITS", "256")
-    argv = ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", "128"]
-    assert _solved_bits(capsys, argv) == 128
-
-
-def test_malformed_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("STEFBENCH_PRECISION_BITS", "puppies")
-    rc = main(["solve", "--method", "mkdf", "--function", "f3"])
-    assert rc == 2
-    assert "must be an integer" in capsys.readouterr().err
+def test_the_environment_does_not_set_the_precision(capsys, monkeypatch):
+    # The command line is the whole input: no environment variable sets the precision.
+    for value in ("puppies", "256"):
+        monkeypatch.setenv("STEFBENCH_PRECISION_BITS", value)
+        assert _solved_bits(capsys, ["solve", "--method", "mkdf", "--function", "f3"]) == 512
 
 
 def test_too_few_bits_is_a_usage_error(capsys):

@@ -41,7 +41,6 @@ def record():
 def runs():
     """[(hash, exit code, command, usage)] of a fresh run, in command order."""
     with pytest.MonkeyPatch.context() as env:
-        env.delenv("STEFBENCH_PRECISION_BITS", raising=False)
         env.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
         return [(*_fields(line), usage) for line, usage in cli_outputs.fingerprints(cli.main)]
 

@@ -53,8 +53,7 @@ def test_the_readme_shows_three_cli_examples():
 @pytest.mark.parametrize(
     "command, printed", [pytest.param(c, p, id=c) for c, p in _cli_examples()]
 )
-def test_cli_example_prints_what_the_readme_shows(capsys, monkeypatch, command, printed):
-    monkeypatch.delenv("STEFBENCH_PRECISION_BITS", raising=False)
+def test_cli_example_prints_what_the_readme_shows(capsys, command, printed):
     assert main(shlex.split(command)) == 0
     lines = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
     assert lines == [line.rstrip() for line in printed]
