@@ -6,7 +6,7 @@ class StefbenchError(Exception):
 
 
 class InvalidPrecisionError(StefbenchError):
-    """Requested precision is below the supported minimum."""
+    """Requested precision is outside the supported range."""
 
 
 class DomainError(StefbenchError):

@@ -51,7 +51,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, ParseError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, read_exponent
 
 # The grammar's elementary functions.
 ELEMENTARY = ("sin", "cos", "exp", "ln", "arctan", "sqrt", "abs")
@@ -228,14 +228,19 @@ class _Parser:
         if "." in value or "e" in value or "E" in value:
             raise ParseError(f"non-integer exponent {value!r}", pos)
         self.advance()
+        return sign * self.exponent(value, pos)
+
+    def exponent(self, digits: str, pos: int) -> int:
         try:
-            return sign * int(value)
-        except ValueError:  # more digits than Python's int conversion takes
-            raise ParseError(f"exponent of {len(value)} digits is too long", pos) from None
+            return read_exponent(digits)
+        except ValueError as exc:  # more digits than Python's int conversion takes
+            raise ParseError(str(exc), pos) from None
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
+            # A literal whose exponent int() cannot read fails here, at its position.
+            self.exponent(value.upper().partition("E")[2] or "0", pos)
             return Const(value), 1
         if kind == "ident":
             if value == "x":

@@ -156,7 +156,11 @@ def kou_step(f, x, fx, theta, s, ctx: PrecisionContext):
     nxt = x - theta * (fx + fy) / s
     if theta != 1:
         _check_denominator(fx - fy, "f(x) - f(y)", ctx)
-        nxt = nxt - (1 - theta) * fx**2 / (s * (fx - fy))
+        # An int's 1 - theta is exact. A float's is taken in the context:
+        # binary64 rounds 1 - 0.1, and that error times a first-order term
+        # would leave the method linear.
+        c = 1 - theta if isinstance(theta, int) else 1 - ctx.mpf(theta)
+        nxt = nxt - c * fx**2 / (s * (fx - fy))
     return nxt
 
 

@@ -33,11 +33,24 @@ from mpmath.libmp import mpf_atan, mpf_cos, mpf_cos_sin, mpf_exp, mpf_log, mpf_s
 from .errors import DomainError, InvalidPrecisionError
 
 MIN_BITS = 64
+# Building a context takes about 0.6 s at this size on a 2-core machine,
+# and the time grows faster than bits^2 above it.
+MAX_BITS = 65536
 
 # Plain decimal text: a sign, digits with at most one point, an exponent.
 _DECIMAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
 # Digits per int() call, below CPython's default limit of 4300.
 _CHUNK_DIGITS = 4000
+
+
+def read_exponent(text: str) -> int:
+    """The integer of an exponent's digits, or ValueError if it has more
+    digits than CPython's int() reads (4300 by default)."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("+-"))
+        raise ValueError(f"exponent of {digits} digits is too long") from None
 
 
 class PrecisionContext:
@@ -59,6 +72,8 @@ class PrecisionContext:
             raise InvalidPrecisionError(
                 f"precision must be an integer >= {MIN_BITS} bits, got {bits!r}"
             )
+        if bits > MAX_BITS:
+            raise InvalidPrecisionError(f"precision must be at most {MAX_BITS} bits, got {bits}")
         self.bits = bits
         # The underlying mpmath context, for callers needing the full API.
         self.mp = mp = MPContext()
@@ -111,7 +126,8 @@ class PrecisionContext:
         5^|k| takes about 5 ms at |k| = 10^5 (from_rational normalises a
         divisor 10^|k| in time |k|^2), so text with |k| beyond
         10^5 + 4 * bits, far outside anything ``full_str`` prints, is
-        left to mpmath, as is text with no digit (".", "-e5").
+        left to mpmath, as is text with no digit (".", "-e5"). An exponent
+        that int() cannot read is a ValueError (see ``read_exponent``).
         """
         match = _DECIMAL.fullmatch(text)
         if match is None:
@@ -119,7 +135,7 @@ class PrecisionContext:
         sign, whole, frac, exp = match.groups()
         frac = frac or ""
         digits = whole + frac
-        k = int(exp or 0) - len(frac)
+        k = read_exponent(exp or "0") - len(frac)
         if not digits or abs(k) > 10**5 + 4 * self.bits:
             return None
         man = 0

@@ -160,6 +160,16 @@ def test_theta_must_be_numeric(capsys):
     assert "must be a number" in capsys.readouterr().err
 
 
+def test_kou_with_a_fractional_theta_keeps_third_order(capsys):
+    # 1 - 0.1 rounded in binary64 would add a first-order term to the error.
+    argv = ["coc", "--method", "kou", "--theta", "0.1", "--function", "f3"]
+    assert main(argv + ["--precision-bits", "4096", "--iterations", "8"]) == 0
+    out = capsys.readouterr().out
+    final = next(line for line in out.splitlines() if line.startswith("final rho = "))
+    assert abs(float(final.split()[3]) - 3) < 1e-3
+    assert "claimed order: 3" in out
+
+
 def test_kou_with_unit_theta(capsys):
     rc = main(["solve", "--method", "kou", "--theta", "1", "--function", "f3"])
     out = capsys.readouterr().out
@@ -296,6 +306,29 @@ def test_too_few_bits_is_a_usage_error(capsys):
     rc = main(["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", "32"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("bits", ["65537", "1000000000"])
+def test_too_many_bits_is_a_usage_error(capsys, bits):
+    rc = main(["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", bits])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: precision must be at most 65536 bits, got {bits}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--function", "f3", "--x0", "1e" + "9" * 5000], "exponent of 5000 digits is too long"),
+        (
+            ["--expr", "x - 1e" + "9" * 5000, "--x0", "1"],
+            "exponent of 5000 digits is too long at position 4",
+        ),
+    ],
+    ids=["x0", "expr"],
+)
+def test_an_exponent_too_long_to_read_is_a_usage_error(capsys, argv, err):
+    assert main(["solve", "--method", "mkdf", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 # -- table notation -------------------------------------------------------

@@ -60,6 +60,9 @@ def test_unknown_builtin_names_the_known_ones():
         # Python converts at most 4300 decimal digits to an int by default.
         pytest.param("x^" + "9" * 5000, 2, "digits is too long", id="long-exponent"),
         pytest.param("x^-" + "0" * 5000 + "2", 3, "digits is too long", id="long-negative-exponent"),
+        # The same limit on a literal's exponent, at the literal.
+        pytest.param("x - 1e" + "9" * 5000, 4, "digits is too long", id="long-literal-exponent"),
+        pytest.param("2*1.5E-" + "9" * 5000, 2, "digits is too long", id="long-negative-literal-exponent"),
     ],
 )
 def test_parse_errors_carry_positions(text, position, fragment):

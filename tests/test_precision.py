@@ -10,6 +10,7 @@ from mpmath.libmp import to_rational
 from stefbench import (
     BUILTINS,
     DomainError,
+    MAX_BITS,
     InvalidPrecisionError,
     PrecisionContext,
     SolveConfig,
@@ -28,6 +29,18 @@ def test_minimum_precision_accepted():
     c = PrecisionContext(64)
     assert c.bits == 64
     assert c.mp.prec == 64
+
+
+def test_maximum_precision_accepted():
+    assert PrecisionContext(MAX_BITS).bits == MAX_BITS
+
+
+@pytest.mark.parametrize("bad", [MAX_BITS + 1, 10**9, 2**100])
+def test_rejects_bit_counts_above_the_maximum(bad):
+    # Refused before the context is built, which at 2^20 bits alone takes minutes.
+    with pytest.raises(InvalidPrecisionError) as info:
+        PrecisionContext(bad)
+    assert str(info.value) == f"precision must be at most {MAX_BITS} bits, got {bad}"
 
 
 def test_floors_exact_when_exponents_are_integers():
@@ -235,6 +248,14 @@ def test_decimal_text_is_correctly_rounded_at_any_exponent(bits, man, k):
     err = abs(Fraction(*to_rational(got._mpf_)) - exact)
     for neighbour in (got - ulp, got + ulp):
         assert err <= abs(Fraction(*to_rational(neighbour._mpf_)) - exact)
+
+
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_an_exponent_longer_than_int_reads_is_refused_in_its_own_words(ctx, sign):
+    # CPython's int() reads at most 4300 digits by default.
+    with pytest.raises(ValueError) as info:
+        ctx.mpf(f"1e{sign}{'9' * 5000}")
+    assert str(info.value) == "exponent of 5000 digits is too long"
 
 
 @pytest.mark.parametrize("value", [" 1", "1_0", "inf", "-inf", "1/3", 3, 0.1])

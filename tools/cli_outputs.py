@@ -119,6 +119,9 @@ def _commands():
             yield ["solve", "--method", "mkdf", "--function", "f3", f"{option}={value}"]
     for value in ("nan", "inf", "-inf", "1e400"):
         yield ["solve", "--method", "kou", "--function", "f3", f"--theta={value}"]
+    # A fractional theta, whose 1 - theta binary64 would round: third order.
+    yield ["coc", "--method", "kou", "--theta", "0.1", "--function", "f3", "--precision-bits", "4096",
+           "--iterations", "8"]
     yield ["solve", "--method", "steffensen", "--function", "f6", "--max-iterations", "5"]
     # A run that ends diverged, and a printed x_1 whose five digits round
     # up to the next power of ten (0.99999...e+0 shows as 0.10000e+1).
@@ -147,6 +150,9 @@ def _commands():
     for expr in ("x +", "x^0.5", "x^" + "9" * 5000, "foo(x)"):
         yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", "1"]
     yield ["constant", "--expr", "2 $ x"]
+    # A decimal exponent too long for int, as --x0 and as a literal.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1e" + "9" * 5000]
+    yield ["solve", "--method", "mkdf", "--expr", "x - 1e" + "9" * 5000, "--x0", "1"]
     # Decimal text with only zeros after a bare point, as --x0 and as a
     # literal; text the reader leaves to mpmath, a fraction and a bare point.
     yield ["solve", "--method", "mkdf", "--expr", "x", "--x0", ".0"]
@@ -157,7 +163,8 @@ def _commands():
     yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "3", "--tol", "1e-3"]
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3",
            "--max-iterations", "1"]
-    yield ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", "32"]
+    for bits in ("32", "65537", "1000000000"):
+        yield ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", bits]
     yield ["bench", "--table", "2", "--function", "f3"]
     yield ["bench", "--table", "7", "--method", "mkdf", "--tolerance-orders", "0.5"]
     for option, value in (
