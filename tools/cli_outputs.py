@@ -119,7 +119,7 @@ def _commands():
             yield ["solve", "--method", "mkdf", "--function", "f3", f"{option}={value}"]
     for value in ("nan", "inf", "-inf", "1e400"):
         yield ["solve", "--method", "kou", "--function", "f3", f"--theta={value}"]
-    # A fractional theta, whose 1 - theta binary64 would round: third order.
+    # A fractional theta, whose 1 - theta binary64 rounds: still third order.
     yield ["coc", "--method", "kou", "--theta", "0.1", "--function", "f3", "--precision-bits", "4096",
            "--iterations", "8"]
     yield ["solve", "--method", "steffensen", "--function", "f6", "--max-iterations", "5"]
