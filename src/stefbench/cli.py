@@ -42,25 +42,6 @@ ANALYSIS_ITERATIONS = 6
 THETA_HELP = f"kou parameter (default {MKDF_THETA})"
 
 
-def format_paper(x, ctx) -> str:
-    """Render x as 0.ddddde[+-]N, the notation of the reference tables."""
-    mp = ctx.mp
-    x = ctx.mpf(x)
-    if not mp.isfinite(x):
-        return str(x)
-    if x == 0:
-        return "0.00000e+0"
-    sign = "-" if x < 0 else ""
-    m = abs(x)
-    e = int(mp.floor(ctx.log10(m))) + 1
-    digits = int(mp.nint(m * mp.mpf(10) ** (5 - e)))
-    if digits >= 10**5:
-        # The mantissa rounded up to 1.0; renormalize.
-        e += 1
-        digits = 10**4
-    return f"{sign}0.{digits:05d}e{e:+d}"
-
-
 def _count(n, noun) -> str:
     """``n`` and ``noun``, plural unless n is 1: "1 iteration", "3 f-calls"."""
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
@@ -121,7 +102,7 @@ def _solve_text(kind, f, x0, trace, ctx):
     print(f"{kind.label()} on {f.name} from x0 = {x0} at {ctx.bits} bits")
     print(f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}")
     for n, t in enumerate(trace.iterates):
-        print(f"{n:>4}  {format_paper(t.x, ctx):<15}  {format_paper(abs(t.fx), ctx):<15}")
+        print(f"{n:>4}  {ctx.paper_str(t.x):<15}  {ctx.paper_str(abs(t.fx)):<15}")
     # A run that stops while evaluating x0 has no iterate to count from.
     steps = max(len(trace.iterates) - 1, 0)
     jets = f", {_count(trace.jet_call_total, 'jet call')}" if trace.jet_call_total else ""
@@ -176,7 +157,7 @@ def _bench_text(report, threshold, ctx):
         disc = "n/a" if r.log10_discrepancy is None else f"{float(r.log10_discrepancy):+7.2f}"
         print(
             f"{r.cell.table_id:>5}  {r.cell.method:<11}  {r.cell.function:<3}  "
-            f"{r.cell.paper_value:<13}  {format_paper(r.computed_value, ctx):<13}  "
+            f"{r.cell.paper_value:<13}  {ctx.paper_str(r.computed_value):<13}  "
             f"{disc:>7}  {r.status:<22}  {'yes' if r.match else 'NO'}"
         )
     if report.diagnostics:
@@ -288,9 +269,9 @@ def cmd_constant(args) -> int:
     print(f"error constant report for {f.name} ({f.source}), method mkdf")
     print(f"refined root = {ctx.nstr(trace.root, 30)}")
     for k, ck in enumerate(report.c, start=1):
-        print(f"  c{k} = {format_paper(ck, ctx)}")
-    print(f"formula value = {format_paper(report.formula_value, ctx)}")
-    rendered = ", ".join(format_paper(r, ctx) for r in report.empirical_ratios)
+        print(f"  c{k} = {ctx.paper_str(ck)}")
+    print(f"formula value = {ctx.paper_str(report.formula_value)}")
+    rendered = ", ".join(ctx.paper_str(r) for r in report.empirical_ratios)
     print(f"empirical e(n+1)/e(n)^{METHODS['mkdf'].order} ratios: {rendered or 'none usable'}")
     if report.agreement is None:
         print("agreement |empirical/formula|: n/a")

@@ -27,7 +27,8 @@ import re
 from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import finf, fninf, from_int, from_rational, fzero, mpf_shift
+from mpmath.libmp import finf, fninf, from_int, from_rational, fzero, mpf_pos, mpf_shift
+from mpmath.libmp import round_down, to_str
 from mpmath.libmp import mpf_atan, mpf_cos, mpf_cos_sin, mpf_exp, mpf_log, mpf_sin, mpf_sqrt
 
 from .errors import DomainError, InvalidPrecisionError
@@ -162,22 +163,19 @@ class PrecisionContext:
         # A finite nonzero value has magnitude exponent + bit count.
         if (v[2] + v[3] > self.bits) if v[1] else (v == finf or v == fninf):
             raise DomainError(
-                f"{name} of {self._show(v)}: |argument| >= 2^{self.bits} "
+                f"{name} of {self._str(v, 17)}: |argument| >= 2^{self.bits} "
                 "has no fractional bits at working precision"
             )
 
     def check_positive(self, name: str, v):
         """DomainError if v <= 0."""
         if v[0] or v == fzero:
-            raise DomainError(f"{name} of non-positive value {self._show(v)}")
+            raise DomainError(f"{name} of non-positive value {self._str(v, 17)}")
 
     def check_nonnegative(self, name: str, v):
         """DomainError if v < 0."""
         if v[0]:
-            raise DomainError(f"{name} of negative value {self._show(v)}")
-
-    def _show(self, v) -> str:
-        return self.nstr(self.mp.make_mpf(v))
+            raise DomainError(f"{name} of negative value {self._str(v, 17)}")
 
     # -- elementary functions on raw values -----------------------------
     #
@@ -224,8 +222,14 @@ class PrecisionContext:
 
     # -- rendering -----------------------------------------------------
 
+    def _str(self, v, digits: int, **options) -> str:
+        """The one conversion: libmp's ``to_str`` of the raw value v, cut toward
+        zero to 4 * digits + 64 bits first. The cut changes no digit; uncut, a
+        mantissa of 14,400 bits or more can overflow CPython's int str()."""
+        return to_str(mpf_pos(v, 4 * digits + 64, round_down), digits, **options)
+
     def nstr(self, x, digits: int = 17) -> str:
-        return self.mp.nstr(x, digits)
+        return self._str(x._mpf_, digits)
 
     def full_str(self, x) -> str:
         """All carried digits, for machine-readable output.
@@ -234,7 +238,20 @@ class PrecisionContext:
         values of a bits-bit mantissa, so ``mpf`` of the text at this
         precision gives back the same value.
         """
-        return self.mp.nstr(x, math.ceil(self.bits * math.log10(2)) + 1)
+        return self.nstr(x, math.ceil(self.bits * math.log10(2)) + 1)
+
+    def paper_str(self, x) -> str:
+        """The mpf x as 0.ddddde+N, the notation of the reference tables.
+
+        The five digits are ``nstr``'s: a tie at the sixth digit rounds half-up.
+        """
+        v = x._mpf_
+        if not v[1]:  # zero, an infinity or NaN
+            return "0.00000e+0" if v == fzero else self._str(v, 5)
+        text = self._str(v, 5, strip_zeros=False, min_fixed=0, max_fixed=0, show_zero_exponent=True)
+        mantissa, _, exponent = text.partition("e")
+        lead, _, tail = mantissa.partition(".")
+        return f"{lead[:-1]}0.{lead[-1]}{tail}e{int(exponent) + 1:+d}"
 
     def __repr__(self) -> str:
         return f"PrecisionContext(bits={self.bits})"

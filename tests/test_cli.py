@@ -18,7 +18,7 @@ from stefbench import (
     load_reference_cells,
     run_benchmark,
 )
-from stefbench.cli import format_paper, main
+from stefbench.cli import main
 from stefbench.driver import MAX_ITERATIONS
 
 
@@ -226,6 +226,40 @@ def test_a_runaway_exponential_ends_in_a_domain_error():
     assert ">= 2^512" in payload["detail"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_domain_error_at_the_top_precisions_names_its_argument(capsys, fmt):
+    # -1e-1200 has a full 16384-bit mantissa, which mpmath's own nstr cannot print.
+    argv = ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0=-1e-1200",
+            "--precision-bits", "16384", "--format", fmt]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    detail = "ln of non-positive value -1.0e-1200 in 'ln(x)'"
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["status"], payload["detail"]) == ("domain_error", detail)
+    else:
+        assert out.splitlines()[-2:] == [
+            "status: domain_error after 0 iterations (1 f-call)",
+            f"detail: {detail}",
+        ]
+
+
+def test_solve_text_prints_a_residual_of_a_22_digit_decimal_exponent(capsys):
+    argv = ["solve", "--method", "mkdf", "--expr", "exp(exp(x))^1000", "--x0", "44.3",
+            "--precision-bits", "64", "--iterations", "1"]
+    assert main(argv) == 1
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row.split() == ["0", "0.44300e+2", "0.57435e+7534073619514022120425"]
+
+
+def test_solve_text_rounds_a_tie_half_up(capsys):
+    # x0 = 1.03125 = 33/32, and |f(x0)| = 1/32.
+    assert main(["solve", "--method", "mkdf", "--expr", "x - 1", "--x0", "1.03125",
+                 "--iterations", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[2]
+    assert row.split() == ["0", "0.10313e+1", "0.31250e-1"]
+
+
 def test_a_closed_stdout_pipe_ends_with_exit_1_and_no_traceback():
     # As in `stefbench solve ... | head -c 700`, but the reader closes its
     # end before the run starts, so the first write fails whatever the
@@ -349,12 +383,12 @@ def test_an_exponent_too_long_to_read_is_a_usage_error(capsys, argv, err):
     ],
 )
 def test_format_paper(ctx, value, rendered):
-    assert format_paper(ctx.mpf(value), ctx) == rendered
+    assert ctx.paper_str(ctx.mpf(value)) == rendered
 
 
 def test_format_paper_round_trips_the_reference_values(ctx):
     for cell in load_reference_cells():
-        assert format_paper(ctx.mpf(cell.paper_value), ctx) == cell.paper_value
+        assert ctx.paper_str(ctx.mpf(cell.paper_value)) == cell.paper_value
 
 
 # -- bench ----------------------------------------------------------------
@@ -407,7 +441,7 @@ def _bench_text_from(payload, ctx):
         dlog = r["log10_discrepancy"]
         lines.append(
             f"{r['table']:>5}  {r['method']:<11}  {r['function']:<3}  {r['paper_value']:<13}  "
-            f"{format_paper(ctx.mpf(r['computed_value']), ctx):<13}  "
+            f"{ctx.paper_str(ctx.mpf(r['computed_value'])):<13}  "
             f"{'n/a' if dlog is None else f'{dlog:+7.2f}':>7}  {r['status']:<22}  "
             f"{'yes' if r['match'] else 'NO'}"
         )
@@ -462,7 +496,7 @@ def _solve_text_from(payload):
         f"{'n':>4}  {'x':<15}  {'|f(x)|':<15}",
     ]
     for t in payload["iterates"]:
-        x, fx = format_paper(ctx.mpf(t["x"]), ctx), format_paper(abs(ctx.mpf(t["fx"])), ctx)
+        x, fx = ctx.paper_str(ctx.mpf(t["x"])), ctx.paper_str(abs(ctx.mpf(t["fx"])))
         lines.append(f"{t['n']:>4}  {x:<15}  {fx:<15}")
     steps = max(len(payload["iterates"]) - 1, 0)
     n_jets = payload["jet_call_total"]

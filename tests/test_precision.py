@@ -14,6 +14,7 @@ from stefbench import (
     InvalidPrecisionError,
     PrecisionContext,
     SolveConfig,
+    from_expression,
     solve,
 )
 from conftest import eps
@@ -267,3 +268,58 @@ def test_decimal_digits_cover_the_mantissa(ctx):
 def test_nstr_digit_control(ctx):
     x = ctx.mpf("0.7390851332151606")
     assert ctx.nstr(x, 5) == "0.73909"
+
+
+def test_nstr_prints_a_full_mantissa_at_the_top_precisions():
+    # mpmath's own nstr scales 1e-1100 by a power of ten chosen from the
+    # exponent of all 16384 mantissa bits, and then str() of an int of
+    # 4932 digits exceeds CPython's limit of 4300.
+    ctx = PrecisionContext(16384)
+    assert ctx.nstr(ctx.mpf("1e-1100"), 5) == "1.0e-1100"
+
+
+_NSTR_CONTEXTS = {bits: PrecisionContext(bits) for bits in (64, 113, 512, 2048, 8192)}
+
+
+@settings(max_examples=300, deadline=None)
+@example(bits=8192, num=1, scale=-20000, digits=5)
+@example(bits=512, num=2**512 - 1, scale=-3700, digits=17)
+@given(
+    bits=st.sampled_from(sorted(_NSTR_CONTEXTS)),
+    num=st.integers(-(2**8192), 2**8192),
+    scale=st.integers(-20000, 20000),
+    digits=st.sampled_from([5, 17, 30]),
+)
+def test_nstr_prints_mpmaths_digits(bits, num, scale, digits):
+    # Below 14,400 bits mpmath's nstr prints every value, so it is the oracle,
+    # on both sides of the binary exponent 3500 where it starts to scale.
+    ctx = _NSTR_CONTEXTS[bits]
+    x = ctx.mp.ldexp(ctx.mpf(num), scale)
+    assert ctx.nstr(x, digits) == ctx.mp.nstr(x, digits)
+
+
+def test_nstr_keeps_its_result_for_its_callers_values(ctx):
+    wide = PrecisionContext(2048)
+    third = ctx.mpf(1) / 3
+    values = [third, -third, ctx.mpf(0), ctx.mp.inf, -ctx.mp.inf, ctx.mp.nan, wide.mpf(1) / 7]
+    for x in values:
+        assert ctx.nstr(x) == ctx.mp.nstr(x, 17)
+        for digits in (3, 5, 8, 10, 15, 20, 30):
+            assert ctx.nstr(x, digits) == ctx.mp.nstr(x, digits)
+
+
+def test_paper_str_rounds_a_tie_half_up(ctx):
+    # 1.03125 = 33/32: the sixth digit is an exact tie.
+    assert ctx.paper_str(ctx.mpf("1.03125")) == "0.10313e+1"
+    assert ctx.paper_str(ctx.mpf("-1.03125")) == "-0.10313e+1"
+    assert ctx.nstr(ctx.mpf("0.00390625"), 5) == "0.0039063"
+    assert ctx.paper_str(ctx.mpf("0.00390625")) == "0.39063e-2"
+
+
+def test_paper_str_prints_a_decimal_exponent_longer_than_the_precision():
+    # |f(44.3)| = 5.7435...e+7534073619514022120424, a decimal exponent of
+    # 22 digits: a 64-bit log10 of it carries too few digits to place them.
+    ctx = PrecisionContext(64)
+    fx = from_expression("exp(exp(x))^1000")(ctx.mpf("44.3"), ctx)
+    assert ctx.paper_str(fx) == "0.57435e+7534073619514022120425"
+    assert ctx.paper_str(ctx.mpf(2) ** (10**20)) == "0.23653e+30102999566398119522"

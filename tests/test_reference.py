@@ -27,7 +27,6 @@ from stefbench import (
     run_benchmark,
     solve,
 )
-from stefbench.cli import format_paper
 from stefbench.reference import _PointMemo
 
 TABLE_FUNCTIONS = {2: "f1", 3: "f2", 4: "f3", 5: "f4", 6: "f5", 7: "f6", 8: "f7"}
@@ -110,7 +109,7 @@ def _printed_replay(bits):
     ctx = PrecisionContext(bits)
     report = run_benchmark(ctx, with_diagnostics=False)
     return {
-        (r.cell.table_id, r.cell.method): (format_paper(r.computed_value, ctx), r.status)
+        (r.cell.table_id, r.cell.method): (ctx.paper_str(r.computed_value), r.status)
         for r in report.records
     }
 
@@ -429,8 +428,8 @@ def _dehghan3_variant_step(f, x, fx, ctx):
 def _printed_replays(step, tag, ctx):
     """{table: five-digit |f(x3)| of ``step``} over the cells filed under ``tag``."""
     return {
-        c.table_id: format_paper(
-            _three_step_residual(step, BUILTINS[c.function], ctx.mpf(c.x0), ctx), ctx
+        c.table_id: ctx.paper_str(
+            _three_step_residual(step, BUILTINS[c.function], ctx.mpf(c.x0), ctx)
         )
         for c in load_reference_cells()
         if c.method == tag
@@ -471,12 +470,12 @@ def test_table_6_small_cells_are_binary64_residuals(ctx):
     published = {c.method: c.paper_value for c in load_reference_cells() if c.table_id == 6}
     # The jain, dehghan2 and mkdf cells are 9, 1 and 1 units of 2^-53.
     ulp = 2.0**-53
-    assert format_paper(9 * ulp, ctx) == published["jain"]
-    assert format_paper(ulp, ctx) == published["dehghan2"] == published["mkdf"]
+    assert ctx.paper_str(ctx.mpf(9 * ulp)) == published["jain"]
+    assert ctx.paper_str(ctx.mpf(ulp)) == published["dehghan2"] == published["mkdf"]
     # The dehghan2 cell is, to all five digits, what the dehghan1 kernel
     # gives when run in binary64: the swap holds in this table too.
     residual = _three_step_residual(dehghan1_step, f5, 1.0, binary64)
-    assert format_paper(residual, ctx) == published["dehghan2"]
+    assert ctx.paper_str(ctx.mpf(residual)) == published["dehghan2"]
 
 
 def test_dehghan3_variant_reproduces_six_published_cells(ctx):
