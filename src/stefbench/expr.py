@@ -51,7 +51,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, ParseError
-from .precision import PrecisionContext, read_exponent
+from .precision import PrecisionContext, read_exponent, split_decimal
 
 # The grammar's elementary functions.
 ELEMENTARY = ("sin", "cos", "exp", "ln", "arctan", "sqrt", "abs")
@@ -228,19 +228,20 @@ class _Parser:
         if "." in value or "e" in value or "E" in value:
             raise ParseError(f"non-integer exponent {value!r}", pos)
         self.advance()
-        return sign * self.exponent(value, pos)
+        return sign * self.read(read_exponent, value, pos)
 
-    def exponent(self, digits: str, pos: int) -> int:
+    def read(self, reader, text: str, pos: int):
+        """``reader(text)``, whose ValueError is a ParseError at ``pos``."""
         try:
-            return read_exponent(digits)
-        except ValueError as exc:  # more digits than Python's int conversion takes
+            return reader(text)
+        except ValueError as exc:
             raise ParseError(str(exc), pos) from None
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            # A literal whose exponent int() cannot read fails here, at its position.
-            self.exponent(value.upper().partition("E")[2] or "0", pos)
+            # A literal that mpf refuses fails here, at its position.
+            self.read(split_decimal, value, pos)
             return Const(value), 1
         if kind == "ident":
             if value == "x":

@@ -17,7 +17,8 @@ left, and mpmath's time for it grows with the magnitude. Only ``log10``
 takes and returns mpf values.
 
 ``mpf`` reads plain decimal text itself, correctly rounded at any length,
-so the text ``full_str`` prints reads back at every precision.
+so the text ``full_str`` prints reads back at every precision for every
+value within 10^(+-10^5).
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ MAX_BITS = 65536
 _DECIMAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
 # Digits per int() call, below CPython's default limit of 4300.
 _CHUNK_DIGITS = 4000
+# The largest |k| of decimal text m * 10^k that ``mpf`` reads, at every
+# precision: above the k of the text ``full_str`` prints for any value
+# within 10^(+-10^5). Text at the bound reads in about 0.05 s at 64 bits
+# and 0.15 s at MAX_BITS.
+MAX_DECIMAL_EXPONENT = 10**5 + 4 * MAX_BITS
 
 
 def read_exponent(text: str) -> int:
@@ -52,6 +58,32 @@ def read_exponent(text: str) -> int:
     except ValueError:
         digits = len(text.lstrip("+-"))
         raise ValueError(f"exponent of {digits} digits is too long") from None
+
+
+def split_decimal(text: str):
+    """(m, k) of plain decimal text, whose value is the integer m times 10^k.
+
+    None for any other text, and for text with no digit (".", "-e5"). m
+    of any length is read in chunks that CPython's int() accepts.
+    ValueError if the exponent is too long for int() (see
+    ``read_exponent``) or |k| > MAX_DECIMAL_EXPONENT.
+    """
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
+        return None
+    sign, whole, frac, exp = match.groups()
+    frac = frac or ""
+    digits = whole + frac
+    k = read_exponent(exp or "0") - len(frac)
+    if not digits:
+        return None
+    if abs(k) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
+    man = 0
+    for start in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[start : start + _CHUNK_DIGITS]
+        man = man * 10 ** len(chunk) + int(chunk)
+    return (-man if sign == "-" else man), k
 
 
 class PrecisionContext:
@@ -106,50 +138,22 @@ class PrecisionContext:
 
         Decimal text is parsed directly at this context's precision; prefer
         strings over floats so literals are never staged through binary64.
-        Plain decimal text is rounded once and correctly, however many
-        digits it has (see ``_read_decimal``); every other value goes
-        through mpmath's own conversion.
+        Plain decimal text m * 10^k (see ``split_decimal``) becomes m * 5^k
+        or m / 5^-k rounded once, then scaled by 2^k: m * 10^k correctly
+        rounded however many digits it has, as mpmath reads it for
+        |k| <= 400. Above that mpmath scales by 10^k with 10 guard bits and
+        no rounding guarantee, in a time that grows with |k| without bound.
+        Every other value goes through mpmath's own conversion.
         """
-        if isinstance(value, str):
-            raw = self._read_decimal(value)
-            if raw is not None:
-                return self.mp.make_mpf(raw)
-        return self.mp.mpf(value)
-
-    def _read_decimal(self, text: str):
-        """The raw value of plain decimal text, or None for any other text.
-
-        The text is m * 10^k with an integer m of any length, read in
-        chunks that CPython's int() accepts. The result is m * 5^k or
-        m / 5^-k rounded once, then scaled by 2^k: m * 10^k correctly
-        rounded, as mpmath reads it for |k| <= 400. Above that mpmath
-        scales by 10^k with 10 guard bits and no rounding guarantee.
-        5^|k| takes about 5 ms at |k| = 10^5 (from_rational normalises a
-        divisor 10^|k| in time |k|^2), so text with |k| beyond
-        10^5 + 4 * bits, far outside anything ``full_str`` prints, is
-        left to mpmath, as is text with no digit (".", "-e5"). An exponent
-        that int() cannot read is a ValueError (see ``read_exponent``).
-        """
-        match = _DECIMAL.fullmatch(text)
-        if match is None:
-            return None
-        sign, whole, frac, exp = match.groups()
-        frac = frac or ""
-        digits = whole + frac
-        k = read_exponent(exp or "0") - len(frac)
-        if not digits or abs(k) > 10**5 + 4 * self.bits:
-            return None
-        man = 0
-        for start in range(0, len(digits), _CHUNK_DIGITS):
-            chunk = digits[start : start + _CHUNK_DIGITS]
-            man = man * 10 ** len(chunk) + int(chunk)
-        if sign == "-":
-            man = -man
+        parts = split_decimal(value) if isinstance(value, str) else None
+        if parts is None:
+            return self.mp.mpf(value)
+        man, k = parts
         if k >= 0:
             raw = from_int(man * 5**k, self._prec, self._rnd)
         else:
             raw = from_rational(man, 5**-k, self._prec, self._rnd)
-        return mpf_shift(raw, k)
+        return self.mp.make_mpf(mpf_shift(raw, k))
 
     # -- domain checks on raw values ------------------------------------
     #

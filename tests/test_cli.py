@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -362,6 +363,25 @@ def test_too_many_bits_is_a_usage_error(capsys, bits):
 )
 def test_an_exponent_too_long_to_read_is_a_usage_error(capsys, argv, err):
     assert main(["solve", "--method", "mkdf", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--function", "f3", "--x0", "1e" + "9" * 4000], "decimal exponent beyond +-362144"),
+        (
+            ["--expr", "x - 1e-400000", "--x0", "1"],
+            "decimal exponent beyond +-362144 at position 4",
+        ),
+    ],
+    ids=["x0", "expr"],
+)
+def test_an_exponent_beyond_the_readers_bound_is_a_usage_error(capsys, argv, err):
+    # mpmath's own reader took 41 s for the 4000-digit exponent.
+    start = time.perf_counter()
+    assert main(["solve", "--method", "mkdf", *argv]) == 2
+    assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == f"error: {err}\n"
 
 

@@ -1,7 +1,5 @@
 """PrecisionContext: validation, floors, unit roundoff, domain guards, rendering."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +15,7 @@ from stefbench import (
     from_expression,
     solve,
 )
+from stefbench.precision import MAX_DECIMAL_EXPONENT
 from conftest import eps
 
 
@@ -225,6 +224,20 @@ def test_zeros_after_a_bare_point_read_as_zero(ctx, text):
     assert ctx.mpf(text) == 0
 
 
+def _assert_correctly_rounded(ctx, got, man, k):
+    """No neighbour one ulp either side of ``got`` is nearer to man * 10^k.
+
+    The distances are compared as integers over one common denominator:
+    Fraction's gcds take seconds at |k| = 362144.
+    """
+    n, d = (man * 10**k, 1) if k >= 0 else (man, 10**-k)
+    ulp = ctx.mp.ldexp(1, ctx.mp.mag(got) - ctx.bits) if got else 0
+    values = [to_rational(v._mpf_) for v in (got, got - ulp, got + ulp)]
+    top = max(q for _, q in values)  # each q is a power of two
+    err = [abs(p * (top // q) * d - n * top) for p, q in values]
+    assert err[0] <= min(err[1:])
+
+
 @settings(max_examples=200, deadline=None)
 @example(bits=113, man=781, k=-1562)
 @example(bits=64, man=-(10**60) + 1, k=3000)
@@ -235,13 +248,7 @@ def test_zeros_after_a_bare_point_read_as_zero(ctx, text):
 )
 def test_decimal_text_is_correctly_rounded_at_any_exponent(bits, man, k):
     ctx = PrecisionContext(bits)
-    exact = Fraction(man) * Fraction(10) ** k
-    got = ctx.mpf(f"{man}e{k}")
-    # No neighbour one ulp either side is nearer to the exact value.
-    ulp = ctx.mp.ldexp(1, ctx.mp.mag(got) - bits) if got else 0
-    err = abs(Fraction(*to_rational(got._mpf_)) - exact)
-    for neighbour in (got - ulp, got + ulp):
-        assert err <= abs(Fraction(*to_rational(neighbour._mpf_)) - exact)
+    _assert_correctly_rounded(ctx, ctx.mpf(f"{man}e{k}"), man, k)
 
 
 @pytest.mark.parametrize("sign", ["", "+", "-"])
@@ -250,6 +257,23 @@ def test_an_exponent_longer_than_int_reads_is_refused_in_its_own_words(ctx, sign
     with pytest.raises(ValueError) as info:
         ctx.mpf(f"1e{sign}{'9' * 5000}")
     assert str(info.value) == "exponent of 5000 digits is too long"
+
+
+# mpmath's reader rounds 2515e-362144 to the wrong neighbour at 64 bits.
+@pytest.mark.parametrize("man, k", [(7, -362144), (7, 362144), (2515, -362144)])
+def test_decimal_text_at_the_exponent_bound_is_correctly_rounded(man, k):
+    assert MAX_DECIMAL_EXPONENT == 10**5 + 4 * MAX_BITS == abs(k)
+    ctx = PrecisionContext(64)
+    _assert_correctly_rounded(ctx, ctx.mpf(f"{man}e{k}"), man, k)
+
+
+@pytest.mark.parametrize("text", ["1e-400000", "1e362145", "-7e-362145", "1e" + "9" * 4000,
+                                  "0." + "0" * MAX_DECIMAL_EXPONENT + "1"])
+def test_decimal_text_beyond_the_exponent_bound_is_refused(ctx, text):
+    # mpmath would read it, in a time that grows with the exponent:
+    # 41 s for an exponent of 4000 digits.
+    with pytest.raises(ValueError, match=r"^decimal exponent beyond \+-362144$"):
+        ctx.mpf(text)
 
 
 @pytest.mark.parametrize("value", [" 1", "1_0", "inf", "-inf", "1/3", 3, 0.1])
