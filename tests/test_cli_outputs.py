@@ -6,11 +6,12 @@ the command. The tests run the same commands in-process and name each one
 whose line moved. argparse's usage and help text change between Python
 versions, so on another minor version than the record's the outputs of
 the commands that print usage text are skipped; their exit codes are
-still compared.
+still compared. Every command must also finish within SECONDS_PER_COMMAND.
 """
 
 import platform
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,8 @@ sys.path.insert(0, str(TOOLS))
 import cli_outputs  # noqa: E402
 
 RECORD = TOOLS / "cli_outputs.txt"
+# All 329 commands take 7 s together on a 2-core Xeon, the slowest 0.6 s.
+SECONDS_PER_COMMAND = 10
 
 
 def _fields(line):
@@ -38,11 +41,27 @@ def record():
 
 
 @pytest.fixture(scope="module")
-def runs():
-    """[(hash, exit code, command, usage)] of a fresh run, in command order."""
+def timed_runs():
+    """[(hash, exit code, command, usage)] of a fresh run, in command order,
+    and the seconds each command took."""
+    seconds = []
+
+    def timed_main(argv):
+        start = time.perf_counter()
+        try:
+            return cli.main(argv)
+        finally:
+            seconds.append(time.perf_counter() - start)
+
     with pytest.MonkeyPatch.context() as env:
         env.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
-        return [(*_fields(line), usage) for line, usage in cli_outputs.fingerprints(cli.main)]
+        lines = [(*_fields(line), usage) for line, usage in cli_outputs.fingerprints(timed_main)]
+    return lines, seconds
+
+
+@pytest.fixture(scope="module")
+def runs(timed_runs):
+    return timed_runs[0]
 
 
 def test_the_record_lists_the_tools_commands_in_order(record, runs):
@@ -82,3 +101,13 @@ def test_usage_text_matches_the_record(record, runs):
         pytest.skip(f"usage text recorded on Python {version}, not {platform.python_version()}")
     moved = _moved_outputs(record, runs, usage_text=True)
     assert not moved, "output moved:\n" + "\n".join(moved)
+
+
+def test_every_command_finishes_in_bounded_time(timed_runs):
+    runs, seconds = timed_runs
+    slow = [
+        f"{t:.1f} s: {command}"
+        for (_, _, command, _), t in zip(runs, seconds)
+        if t > SECONDS_PER_COMMAND
+    ]
+    assert not slow, f"slower than {SECONDS_PER_COMMAND} s:\n" + "\n".join(slow)

@@ -129,6 +129,11 @@ def _commands():
     yield diverging
     yield [*diverging, "--format", "json"]
     yield ["solve", "--method", "mkdf", "--expr", "x - 0.9999996", "--x0", "0", "--iterations", "1"]
+    # An exact tie at the sixth digit: x0 = 1.03125 shows as 0.10313e+1.
+    yield ["solve", "--method", "mkdf", "--expr", "x - 1", "--x0", "1.03125", "--iterations", "1"]
+    # |f(x0)| with a decimal exponent of 22 digits, more than 64 bits carry.
+    yield ["solve", "--method", "mkdf", "--expr", "exp(exp(x))^1000", "--x0", "44.3",
+           "--precision-bits", "64", "--iterations", "1"]
     yield ["solve", "--method", "mkdf", "--expr", "x^2 + 1", "--x0", "0", "--format", "json"]
     # Differences above the breakdown floor whose slope lies below it.
     yield ["solve", "--method", "mkdf", "--expr", "x^2 + 1.5e-139*x + 1", "--x0", "0"]
@@ -136,6 +141,10 @@ def _commands():
     yield ["solve", "--method", "steffensen", "--expr", "ln(x)", "--x0", "0.5"]
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1"]
     yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0", "-1", "--format", "csv"]
+    # A domain error that names a full 16384-bit mantissa.
+    for output in ("text", "json"):
+        yield ["solve", "--method", "mkdf", "--expr", "ln(x)", "--x0=-1e-1200", "--precision-bits",
+               "16384", "--format", output]
     # The scalar path's other DomainErrors: division by zero, zero to a
     # negative power, sqrt of a negative value and sin beyond 2^bits.
     for expr, x0 in (("1/(x - 1)", "1"), ("x^-1", "0"), ("sqrt(x - 2)", "0")):
@@ -153,6 +162,9 @@ def _commands():
     # A decimal exponent too long for int, as --x0 and as a literal.
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1e" + "9" * 5000]
     yield ["solve", "--method", "mkdf", "--expr", "x - 1e" + "9" * 5000, "--x0", "1"]
+    # Exponents that int() reads but beyond the reader's bound of 362144.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1e" + "9" * 4000]
+    yield ["solve", "--method", "mkdf", "--expr", "x - 1e-400000", "--x0", "1"]
     # Decimal text with only zeros after a bare point, as --x0 and as a
     # literal; text the reader leaves to mpmath, a fraction and a bare point.
     yield ["solve", "--method", "mkdf", "--expr", "x", "--x0", ".0"]
