@@ -34,7 +34,7 @@ from .driver import MAX_ITERATIONS, SUCCESS_STATUSES, SolveConfig, refine_root, 
 from .errors import InvalidPrecisionError, ParseError, StefbenchError
 from .functions import BUILTINS, FUNCTION_NAMES, from_expression, get_function
 from .methods import METHOD_TAGS, METHODS, MKDF_THETA, TABLE_METHODS, MethodKind, claimed_order
-from .precision import PrecisionContext
+from .precision import PrecisionContext, is_number
 from .reference import DEFAULT_TOLERANCE_ORDERS, run_benchmark
 
 DEFAULT_BITS = 512
@@ -67,14 +67,12 @@ def _write(fmt, payload, rows, fields, text) -> None:
 
 
 def _parse_theta(text):
+    if not is_number(text):
+        raise ValueError(f"--theta must be a number, got {text!r}")
     try:
         return int(text)
-    except ValueError:
-        pass
-    try:
+    except ValueError:  # a point, an exponent, a name, or over 4300 digits
         return float(text)
-    except ValueError:
-        raise ValueError(f"--theta must be a number, got {text!r}") from None
 
 
 def _make_kind(args) -> MethodKind:

@@ -51,7 +51,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, ParseError
-from .precision import PrecisionContext, read_exponent, split_decimal
+from .precision import NUMBER, PrecisionContext, read_exponent, split_decimal
 
 # The grammar's elementary functions.
 ELEMENTARY = ("sin", "cos", "exp", "ln", "arctan", "sqrt", "abs")
@@ -69,9 +69,7 @@ class Const(NamedTuple):
 
 
 class Var(NamedTuple):
-    def __bool__(self):
-        # A tuple without fields would be falsy; a node never is.
-        return True
+    """The variable x."""
 
 
 class Unary(NamedTuple):
@@ -93,8 +91,8 @@ class Pow(NamedTuple):
 # -- tokenizer -------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<num>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)
+    rf"""
+    (?P<num>{NUMBER})
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[()+\-*/^])
   | (?P<ws>\s+)

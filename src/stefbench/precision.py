@@ -16,9 +16,9 @@ magnitude of 2^bits or more: such an argument has no fractional bits
 left, and mpmath's time for it grows with the magnitude. Only ``log10``
 takes and returns mpf values.
 
-``mpf`` reads plain decimal text itself, correctly rounded at any length,
-so the text ``full_str`` prints reads back at every precision for every
-value within 10^(+-10^5).
+``mpf`` reads decimal text itself, correctly rounded at any length, so the
+text ``full_str`` prints reads back at every precision for every value
+within 10^(+-10^5); mpmath's reader gets only the names in NON_FINITE.
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ MIN_BITS = 64
 # and the time grows faster than bits^2 above it.
 MAX_BITS = 65536
 
-# Plain decimal text: a sign, digits with at most one point, an exponent.
-_DECIMAL = re.compile(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?")
+# The one syntax of a number: ASCII digits, at least one, with at most one
+# point, and an optional exponent. The tokenizer reads it; _DECIMAL adds a sign.
+NUMBER = r"(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"
+_DECIMAL = re.compile(r"([+-]?)" + NUMBER)
+NON_FINITE = frozenset({"inf", "+inf", "-inf", "nan"})  # mpmath's names, in any case
 # Digits per int() call, below CPython's default limit of 4300.
 _CHUNK_DIGITS = 4000
 # The largest |k| of decimal text m * 10^k that ``mpf`` reads, at every
@@ -60,23 +63,25 @@ def read_exponent(text: str) -> int:
         raise ValueError(f"exponent of {digits} digits is too long") from None
 
 
-def split_decimal(text: str):
-    """(m, k) of plain decimal text, whose value is the integer m times 10^k.
+def is_number(text: str) -> bool:
+    """Whether the text is decimal text or one of the names in NON_FINITE."""
+    return text.lower() in NON_FINITE or _DECIMAL.fullmatch(text) is not None
 
-    None for any other text, and for text with no digit (".", "-e5"). m
-    of any length is read in chunks that CPython's int() accepts.
-    ValueError if the exponent is too long for int() (see
-    ``read_exponent``) or |k| > MAX_DECIMAL_EXPONENT.
+
+def split_decimal(text: str):
+    """(m, k) of decimal text, whose value is the integer m times 10^k.
+
+    m of any length is read in chunks that CPython's int() accepts.
+    ValueError for any other text, if the exponent is too long for int()
+    (see ``read_exponent``), or if |k| > MAX_DECIMAL_EXPONENT.
     """
     match = _DECIMAL.fullmatch(text)
     if match is None:
-        return None
+        raise ValueError(f"not a decimal number: {text!r}")
     sign, whole, frac, exp = match.groups()
     frac = frac or ""
     digits = whole + frac
     k = read_exponent(exp or "0") - len(frac)
-    if not digits:
-        return None
     if abs(k) > MAX_DECIMAL_EXPONENT:
         raise ValueError(f"decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     man = 0
@@ -136,19 +141,18 @@ class PrecisionContext:
     def mpf(self, value):
         """Convert ``value`` (string, int, float or mpf) at working precision.
 
-        Decimal text is parsed directly at this context's precision; prefer
-        strings over floats so literals are never staged through binary64.
-        Plain decimal text m * 10^k (see ``split_decimal``) becomes m * 5^k
-        or m / 5^-k rounded once, then scaled by 2^k: m * 10^k correctly
-        rounded however many digits it has, as mpmath reads it for
-        |k| <= 400. Above that mpmath scales by 10^k with 10 guard bits and
-        no rounding guarantee, in a time that grows with |k| without bound.
-        Every other value goes through mpmath's own conversion.
+        Prefer strings over floats, so literals are never staged through
+        binary64. Decimal text m * 10^k (see ``split_decimal``) becomes
+        m * 5^k or m / 5^-k rounded once, then scaled by 2^k: m * 10^k
+        correctly rounded however many digits it has, as mpmath reads it
+        for |k| <= 400. Above that mpmath scales by 10^k with 10 guard bits
+        and no rounding guarantee, in a time that grows with |k| without
+        bound, so it reads only the names in NON_FINITE. Other text is a
+        ValueError. Values that are not text go through mpmath's conversion.
         """
-        parts = split_decimal(value) if isinstance(value, str) else None
-        if parts is None:
+        if not isinstance(value, str) or value.lower() in NON_FINITE:
             return self.mp.mpf(value)
-        man, k = parts
+        man, k = split_decimal(value)
         if k >= 0:
             raw = from_int(man * 5**k, self._prec, self._rnd)
         else:

@@ -156,9 +156,11 @@ def test_theta_only_applies_to_kou(capsys):
 
 
 def test_theta_must_be_numeric(capsys):
-    rc = main(["solve", "--method", "kou", "--function", "f1", "--theta", "abc"])
-    assert rc == 2
-    assert "must be a number" in capsys.readouterr().err
+    # Only the numbers --x0 takes: int() would read all but "abc".
+    for theta in ("abc", "٣", " 1", "1_0"):
+        rc = main(["solve", "--method", "kou", "--function", "f1", f"--theta={theta}"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --theta must be a number, got {theta!r}\n"
 
 
 def test_kou_with_a_fractional_theta_keeps_third_order(capsys):

@@ -23,7 +23,7 @@ sys.path.insert(0, str(TOOLS))
 import cli_outputs  # noqa: E402
 
 RECORD = TOOLS / "cli_outputs.txt"
-# All 329 commands take 7 s together on a 2-core Xeon, the slowest 0.6 s.
+# All 333 commands take 7 s together on a 2-core Xeon, the slowest 0.6 s.
 SECONDS_PER_COMMAND = 10
 
 
@@ -35,7 +35,7 @@ def _fields(line):
 
 @pytest.fixture(scope="module")
 def record():
-    header, *lines = RECORD.read_text().splitlines()
+    header, *lines = RECORD.read_text(encoding="utf-8").splitlines()
     version = header.removeprefix("# python ")
     return version, [_fields(line) for line in lines]
 

@@ -25,10 +25,12 @@ from stefbench.expr import (
     Pow,
     Unary,
     Var,
+    _tokenize,
     parse,
     unparse,
 )
 from stefbench.jets import JetOps
+from stefbench.precision import split_decimal
 from mpf_ops import MpfOps
 
 
@@ -53,6 +55,8 @@ def test_unknown_builtin_names_the_known_ones():
         ("x ^ 2.5", 4, "non-integer exponent"),
         ("y + 1", 0, "unknown identifier"),
         ("x $ 2", 2, "unexpected character"),
+        # A number's digits are ASCII, in literals as in --x0.
+        ("x - ٣", 4, "unexpected character '٣'"),
         ("(x + 1", 6, "expected ')'"),
         ("2 ^ x", 4, "literal integer"),
         ("x ** 2", 3, "expected operand"),
@@ -126,13 +130,34 @@ def test_precedence(ctx):
 def test_nested_power_needs_parens_and_keeps_them():
     ast = parse("(x^2)^3")
     assert ast == Pow(Pow(Var(), 2), 3)
-    assert Var()  # a node without fields is still truthy
     assert unparse(ast) == "(x^2)^3"
 
 
 def test_literals_convert_at_working_precision(ctx):
     assert from_expression("0.1")(ctx.mpf(0), ctx) == ctx.mpf("0.1")
     assert from_expression("1e-40")(ctx.mpf(0), ctx) == ctx.mpf("1e-40")
+
+
+@settings(max_examples=500, deadline=None)
+@example(" 1")
+@example("1.e5")
+@example(".")
+@example("٣")
+@example("1e")
+@given(st.text("0123456789.eE+-٣_ ", max_size=12).filter(lambda t: not t.startswith(("+", "-"))))
+def test_a_number_token_is_exactly_the_text_split_decimal_reads(text):
+    # One grammar: the tokenizer takes unsigned text whole as a number
+    # exactly when mpf's reader takes it as decimal text.
+    try:
+        one_number = _tokenize(text) == [("num", text, 0), ("eof", "", len(text))]
+    except ParseError:
+        one_number = False
+    try:
+        split_decimal(text)
+        decimal = True
+    except ValueError as exc:  # or an exponent beyond the reader's bound
+        decimal = not str(exc).startswith("not a decimal number: ")
+    assert one_number == decimal
 
 
 def test_scalar_evaluation_matches_context_functions(ctx):

@@ -1,5 +1,7 @@
 """PrecisionContext: validation, floors, unit roundoff, domain guards, rendering."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -276,9 +278,24 @@ def test_decimal_text_beyond_the_exponent_bound_is_refused(ctx, text):
         ctx.mpf(text)
 
 
-@pytest.mark.parametrize("value", [" 1", "1_0", "inf", "-inf", "1/3", 3, 0.1])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "INF", 3, 0.1])
 def test_other_values_take_mpmaths_conversion(ctx, value):
     assert ctx.mpf(value)._mpf_ == ctx.mp.mpf(value)._mpf_
+
+
+# mpmath's reader would strip the space and drop the underscore, and read
+# the fraction, the L suffix, the Unicode digit and the long name; after a
+# space, it takes seconds over an exponent of 1000 digits.
+@pytest.mark.parametrize(
+    "text",
+    [" 1", "1_0", "1/3", "1e5L", "٣", "Infinity", pytest.param(" 1e" + "9" * 1000, id="long")],
+)
+def test_other_text_is_not_a_decimal_number(ctx, text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        ctx.mpf(text)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == f"not a decimal number: {text!r}"
 
 
 def test_decimal_digits_cover_the_mantissa(ctx):

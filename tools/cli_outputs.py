@@ -166,11 +166,18 @@ def _commands():
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1e" + "9" * 4000]
     yield ["solve", "--method", "mkdf", "--expr", "x - 1e-400000", "--x0", "1"]
     # Decimal text with only zeros after a bare point, as --x0 and as a
-    # literal; text the reader leaves to mpmath, a fraction and a bare point.
+    # literal. Text that is not a number: a fraction, a bare point, a space
+    # before an exponent of 4000 digits, a non-ASCII digit in a literal and
+    # an underscore in --theta.
     yield ["solve", "--method", "mkdf", "--expr", "x", "--x0", ".0"]
     yield ["solve", "--method", "mkdf", "--expr", "x - .0", "--x0", "1"]
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1/3"]
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0=."]
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", " 1e" + "9" * 4000]
+    yield ["solve", "--method", "mkdf", "--expr", "x - \u0663", "--x0", "1"]
+    yield ["solve", "--method", "kou", "--function", "f3", "--theta=1_0"]
+    # A non-finite name in capitals, which mpmath reads.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--x0=INF"]
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "0"]
     yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "3", "--tol", "1e-3"]
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3",
@@ -224,6 +231,7 @@ def main(argv) -> int:
     src = (Path(argv[0]) / "src").resolve()
     sys.path.insert(0, str(src))
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+    sys.stdout.reconfigure(encoding="utf-8")  # a command holds a non-ASCII digit
     from stefbench import cli
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
