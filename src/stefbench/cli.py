@@ -34,7 +34,7 @@ from .driver import MAX_ITERATIONS, SUCCESS_STATUSES, SolveConfig, refine_root, 
 from .errors import InvalidPrecisionError, ParseError, StefbenchError
 from .functions import BUILTINS, FUNCTION_NAMES, from_expression, get_function
 from .methods import METHOD_TAGS, METHODS, MKDF_THETA, TABLE_METHODS, MethodKind, claimed_order
-from .precision import PrecisionContext, is_number
+from .precision import PrecisionContext
 from .reference import DEFAULT_TOLERANCE_ORDERS, run_benchmark
 
 DEFAULT_BITS = 512
@@ -64,19 +64,6 @@ def _write(fmt, payload, rows, fields, text) -> None:
             )
     else:
         text()
-
-
-def _parse_theta(text):
-    if not is_number(text):
-        raise ValueError(f"--theta must be a number, got {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # a point, an exponent, a name, or over 4300 digits
-        return float(text)
-
-
-def _make_kind(args) -> MethodKind:
-    return MethodKind(args.method, None if args.theta is None else _parse_theta(args.theta))
 
 
 def _resolve_function(args):
@@ -115,7 +102,7 @@ def _solve_text(kind, f, x0, trace, ctx):
 def cmd_solve(args) -> int:
     ctx = PrecisionContext(args.precision_bits)
     f = _resolve_function(args)
-    kind = _make_kind(args)
+    kind = MethodKind(args.method, args.theta)
     x0 = _resolve_x0(args, f)
     cfg = SolveConfig(
         max_iterations=args.max_iterations,
@@ -243,7 +230,7 @@ def _analysis_run(kind, f, x0, seed, iterations, ctx):
 def cmd_coc(args) -> int:
     ctx = PrecisionContext(args.precision_bits)
     f = get_function(args.function)
-    kind = _make_kind(args)
+    kind = MethodKind(args.method, args.theta)
     x0 = _resolve_x0(args, f)
     trace = _analysis_run(kind, f, x0, f.reference_root, args.iterations, ctx)
     est = coc(trace, ctx)

@@ -51,7 +51,7 @@ from mpmath.libmp import (
 )
 
 from .errors import DomainError, ParseError
-from .precision import NUMBER, PrecisionContext, read_exponent, split_decimal
+from .precision import NUMBER, PrecisionContext, read_exponent, shown, split_decimal
 
 # The grammar's elementary functions.
 ELEMENTARY = ("sin", "cos", "exp", "ln", "arctan", "sqrt", "abs")
@@ -175,7 +175,7 @@ class _Parser:
         node, _ = self.binary()
         kind, value, pos = self.peek()
         if kind != "eof":
-            raise ParseError(f"unexpected {value!r}", pos)
+            raise ParseError(f"unexpected {shown(value)}", pos)
         return node
 
     def binary(self, level: int = 1):
@@ -224,7 +224,7 @@ class _Parser:
         if kind != "num":
             raise ParseError("exponent must be a literal integer", pos)
         if "." in value or "e" in value or "E" in value:
-            raise ParseError(f"non-integer exponent {value!r}", pos)
+            raise ParseError(f"non-integer exponent {shown(value)}", pos)
         self.advance()
         return sign * self.read(read_exponent, value, pos)
 
@@ -249,13 +249,13 @@ class _Parser:
                 arg, height = self.nested(pos, self.binary)
                 self.expect_op(")")
                 return Unary(value, arg), height
-            raise ParseError(f"unknown identifier {value!r}", pos)
+            raise ParseError(f"unknown identifier {shown(value)}", pos)
         if kind == "op" and value == "(":
             node, height = self.nested(pos, self.binary)
             self.expect_op(")")
             return node, height
-        shown = value if value else "end of input"
-        raise ParseError(f"expected operand, found {shown!r}", pos)
+        found = value if value else "end of input"
+        raise ParseError(f"expected operand, found {found!r}", pos)
 
 
 def parse(text: str):

@@ -21,13 +21,12 @@ divisor, each slope included, is floor-checked.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
 
-from mpmath import isfinite
-
 from .errors import BreakdownError
-from .precision import PrecisionContext
+from .precision import PrecisionContext, split_decimal
 
 # The kou parameter at which kou is mkdf, and kou's default.
 MKDF_THETA = -1
@@ -36,8 +35,9 @@ MKDF_THETA = -1
 class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
     """A method identifier; ``theta`` only applies to the kou family.
 
-    kou's theta defaults to :data:`MKDF_THETA`; every other method keeps
-    ``theta`` None.
+    kou's theta is an int or decimal text, kept as given and read by each
+    step at working precision; it defaults to :data:`MKDF_THETA`, and text
+    that ``split_decimal`` refuses is a ValueError. Other methods keep None.
     """
 
     __slots__ = ()
@@ -51,8 +51,7 @@ class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
                 raise ValueError(f"theta only applies to kou, not {tag!r}")
         else:
             theta = MKDF_THETA if theta is None else theta
-            if not isfinite(theta):
-                raise ValueError(f"theta must be finite, got {theta}")
+            split_decimal(str(theta))
         return super().__new__(cls, tag, theta)
 
     def stepper(self):
@@ -149,18 +148,15 @@ def cordero_step(f, x, fx, ctx: PrecisionContext):
 
 
 def kou_step(f, x, fx, theta, s, ctx: PrecisionContext):
-    """Kou family member with parameter theta and supplied slope s."""
+    """Kou family member with supplied slope s and parameter theta, read by ``ctx.mpf``."""
+    theta = ctx.mpf(theta)
     _check_denominator(s, "slope", ctx)
     y = x - fx / s
     fy = f(y, ctx)
     nxt = x - theta * (fx + fy) / s
     if theta != 1:
         _check_denominator(fx - fy, "f(x) - f(y)", ctx)
-        # An int's 1 - theta is exact. A float's is taken in the context:
-        # binary64 rounds 1 - 0.1, and that error times a first-order term
-        # would leave the method linear.
-        c = 1 - theta if isinstance(theta, int) else 1 - ctx.mpf(theta)
-        nxt = nxt - c * fx**2 / (s * (fx - fy))
+        nxt = nxt - (1 - theta) * fx**2 / (s * (fx - fy))
     return nxt
 
 
@@ -221,8 +217,11 @@ TABLE_METHODS = tuple(tag for tag, m in METHODS.items() if m.in_tables)
 def claimed_order(kind: MethodKind) -> int:
     """The convergence order each method is supposed to have.
 
-    kou's entry holds its order at theta = -1; every other theta loses the
-    fourth-order corrector and is third order.
+    kou's entry holds its order at theta = -1, "-1.0" included; every other
+    theta loses the fourth-order corrector and is third order.
     """
     order = METHODS[kind.tag].order
-    return order if kind.theta in (None, MKDF_THETA) else 3
+    if kind.theta is None:
+        return order
+    man, k = split_decimal(str(kind.theta))
+    return order if man * Fraction(10) ** k == MKDF_THETA else 3

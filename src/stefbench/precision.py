@@ -63,9 +63,9 @@ def read_exponent(text: str) -> int:
         raise ValueError(f"exponent of {digits} digits is too long") from None
 
 
-def is_number(text: str) -> bool:
-    """Whether the text is decimal text or one of the names in NON_FINITE."""
-    return text.lower() in NON_FINITE or _DECIMAL.fullmatch(text) is not None
+def shown(text: str) -> str:
+    """repr(text) for an error message; past 40 characters, its first 40 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def split_decimal(text: str):
@@ -77,7 +77,7 @@ def split_decimal(text: str):
     """
     match = _DECIMAL.fullmatch(text)
     if match is None:
-        raise ValueError(f"not a decimal number: {text!r}")
+        raise ValueError(f"not a decimal number: {shown(text)}")
     sign, whole, frac, exp = match.groups()
     frac = frac or ""
     digits = whole + frac

@@ -13,9 +13,11 @@ import pytest
 
 import stefbench
 from stefbench import (
+    BUILTINS,
     FUNCTION_NAMES,
     METHOD_TAGS,
     PrecisionContext,
+    kou_step,
     load_reference_cells,
     run_benchmark,
 )
@@ -156,11 +158,17 @@ def test_theta_only_applies_to_kou(capsys):
 
 
 def test_theta_must_be_numeric(capsys):
-    # Only the numbers --x0 takes: int() would read all but "abc".
-    for theta in ("abc", "٣", " 1", "1_0"):
+    # Only decimal text, as --x0 takes it less its non-finite names: int()
+    # would read "٣", " 1" and "1_0", and float() the names.
+    for theta in ("abc", "٣", " 1", "1_0", "nan", "inf", "-inf"):
         rc = main(["solve", "--method", "kou", "--function", "f1", f"--theta={theta}"])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: --theta must be a number, got {theta!r}\n"
+        assert capsys.readouterr().err == f"error: not a decimal number: {theta!r}\n"
+    # Read at working precision, where it is finite: the run takes a step
+    # far beyond 2^512 and ends with a domain error in cos.
+    rc = main(["solve", "--method", "kou", "--function", "f3", "--theta=1e400", "--format", "json"])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "domain_error"
 
 
 def test_kou_with_a_fractional_theta_keeps_third_order(capsys):
@@ -171,6 +179,15 @@ def test_kou_with_a_fractional_theta_keeps_third_order(capsys):
     final = next(line for line in out.splitlines() if line.startswith("final rho = "))
     assert abs(float(final.split()[3]) - 3) < 1e-3
     assert "claimed order: 3" in out
+    # theta enters the step as ctx.mpf("0.1"), not as the binary64 0.1.
+    argv = ["solve", "--method", "kou", "--theta", "0.1", "--function", "f3", "--format", "json"]
+    assert main(argv + ["--iterations", "1"]) == 0
+    x1 = json.loads(capsys.readouterr().out)["iterates"][1]["x"]
+    ctx, f = PrecisionContext(512), BUILTINS["f3"]
+    x0 = ctx.mpf(f.default_x0)
+    fx0 = f(x0, ctx)
+    expected = kou_step(f, x0, fx0, ctx.mpf("0.1"), f.eval_jet(x0, 1, ctx)[1], ctx)
+    assert ctx.mpf(x1) == expected
 
 
 def test_kou_with_unit_theta(capsys):
@@ -185,12 +202,11 @@ def test_kou_with_unit_theta(capsys):
     "method, option, value",
     [
         *(("mkdf", option, v) for option in ("--x0", "--tol") for v in ("nan", "inf", "-inf")),
-        *(("kou", "--theta", v) for v in ("nan", "inf", "-inf", "1e400")),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(capsys, method, option, value):
-    # --x0 and --tol are read at working precision, where 1e400 is finite;
-    # --theta is a machine number, where it overflows to inf.
+    # ctx.mpf hands the names to mpmath, which reads them; --theta takes
+    # decimal text only and refuses them as text (test_theta_must_be_numeric).
     rc = main(["solve", "--method", method, "--function", "f3", f"{option}={value}"])
     assert rc == 2
     assert "must be finite" in capsys.readouterr().err

@@ -67,6 +67,10 @@ def test_unknown_builtin_names_the_known_ones():
         # The same limit on a literal's exponent, at the literal.
         pytest.param("x - 1e" + "9" * 5000, 4, "digits is too long", id="long-literal-exponent"),
         pytest.param("2*1.5E-" + "9" * 5000, 2, "digits is too long", id="long-negative-literal-exponent"),
+        # A long token is echoed by its first 40 characters and its length.
+        pytest.param("a" * 20000, 0, f"identifier '{'a' * 40}'... (20000 characters)", id="long-identifier"),
+        pytest.param("x^2." + "5" * 99, 2, f"exponent '2.{'5' * 38}'... (101 characters)", id="long-non-integer"),
+        pytest.param("x " + "7" * 99, 2, f"unexpected '{'7' * 40}'... (99 characters)", id="long-unexpected"),
     ],
 )
 def test_parse_errors_carry_positions(text, position, fragment):

@@ -119,9 +119,14 @@ def _commands():
             yield ["solve", "--method", "mkdf", "--function", "f3", f"{option}={value}"]
     for value in ("nan", "inf", "-inf", "1e400"):
         yield ["solve", "--method", "kou", "--function", "f3", f"--theta={value}"]
-    # A fractional theta, whose 1 - theta binary64 rounds: still third order.
+    # A fractional theta, read from its text at working precision: still
+    # third order, and the JSON iterates are those of the exact 0.1.
     yield ["coc", "--method", "kou", "--theta", "0.1", "--function", "f3", "--precision-bits", "4096",
            "--iterations", "8"]
+    yield ["solve", "--method", "kou", "--theta", "0.1", "--function", "f3", "--format", "json",
+           "--iterations", "3"]
+    # theta = -1 written with a point, whose claimed order is still 4.
+    yield ["coc", "--method", "kou", "--theta=-1.0", "--function", "f3"]
     yield ["solve", "--method", "steffensen", "--function", "f6", "--max-iterations", "5"]
     # A run that ends diverged, and a printed x_1 whose five digits round
     # up to the next power of ten (0.99999...e+0 shows as 0.10000e+1).
@@ -176,6 +181,8 @@ def _commands():
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", " 1e" + "9" * 4000]
     yield ["solve", "--method", "mkdf", "--expr", "x - \u0663", "--x0", "1"]
     yield ["solve", "--method", "kou", "--function", "f3", "--theta=1_0"]
+    # A long refused number, echoed by its first 40 characters and its length.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1" * 20000 + "x"]
     # A non-finite name in capitals, which mpmath reads.
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0=INF"]
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "0"]
