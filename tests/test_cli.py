@@ -158,9 +158,9 @@ def test_theta_only_applies_to_kou(capsys):
 
 
 def test_theta_must_be_numeric(capsys):
-    # Only decimal text, as --x0 takes it less its non-finite names: int()
-    # would read "٣", " 1" and "1_0", and float() the names.
-    for theta in ("abc", "٣", " 1", "1_0", "nan", "inf", "-inf"):
+    # Only decimal text, as --x0 takes it less its non-finite names
+    # (test_non_finite_inputs_are_usage_errors): int() would read all but "abc".
+    for theta in ("abc", "٣", " 1", "1_0"):
         rc = main(["solve", "--method", "kou", "--function", "f1", f"--theta={theta}"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: not a decimal number: {theta!r}\n"
@@ -202,14 +202,19 @@ def test_kou_with_unit_theta(capsys):
     "method, option, value",
     [
         *(("mkdf", option, v) for option in ("--x0", "--tol") for v in ("nan", "inf", "-inf")),
+        *(("kou", "--theta", v) for v in ("nan", "inf", "-inf")),
     ],
 )
 def test_non_finite_inputs_are_usage_errors(capsys, method, option, value):
     # ctx.mpf hands the names to mpmath, which reads them; --theta takes
-    # decimal text only and refuses them as text (test_theta_must_be_numeric).
+    # decimal text only and refuses them as text.
     rc = main(["solve", "--method", method, "--function", "f3", f"{option}={value}"])
     assert rc == 2
-    assert "must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if option == "--theta":
+        assert err == f"error: not a decimal number: {value!r}\n"
+    else:
+        assert "must be finite" in err
 
 
 def test_solve_reports_why_it_stopped(capsys):

@@ -330,8 +330,11 @@ def test_kou_theta_is_normalised_once():
     assert MethodKind("kou", "1e400").theta == "1e400"
 
 
-@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "theta", ["nan", "inf", "-inf", pytest.param(float("1e400"), id="1e400")]
+)
 def test_kou_rejects_non_finite_theta(theta):
+    # A float that overflowed to inf is read through its text, "inf", too.
     with pytest.raises(ValueError, match=f"^not a decimal number: '{theta}'$"):
         MethodKind("kou", theta)
 
