@@ -35,9 +35,9 @@ MKDF_THETA = -1
 class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
     """A method identifier; ``theta`` only applies to the kou family.
 
-    kou's theta is an int or decimal text, kept as given and read by each
-    step at working precision; it defaults to :data:`MKDF_THETA`, and text
-    that ``split_decimal`` refuses is a ValueError. Other methods keep None.
+    kou's theta is kept as its text, ``str`` of what was given, which each
+    step reads at working precision; it defaults to :data:`MKDF_THETA`, and
+    text that ``split_decimal`` refuses is a ValueError. Other methods keep None.
     """
 
     __slots__ = ()
@@ -50,8 +50,8 @@ class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
             if theta is not None:
                 raise ValueError(f"theta only applies to kou, not {tag!r}")
         else:
-            theta = MKDF_THETA if theta is None else theta
-            split_decimal(str(theta))
+            theta = str(MKDF_THETA if theta is None else theta)
+            split_decimal(theta)
         return super().__new__(cls, tag, theta)
 
     def stepper(self):
@@ -223,5 +223,5 @@ def claimed_order(kind: MethodKind) -> int:
     order = METHODS[kind.tag].order
     if kind.theta is None:
         return order
-    man, k = split_decimal(str(kind.theta))
+    man, k = split_decimal(kind.theta)
     return order if man * Fraction(10) ** k == MKDF_THETA else 3

@@ -13,11 +13,13 @@ net on purpose: at fourth order, a last-place difference in x_2 moves
 bar. Cells that still miss it get diagnostics: the residual at nearby
 iteration counts, and the same table's other columns, are compared with
 the reference value, which localizes transcription-style anomalies in the
-reference data without editing it. A diagnostic probe is scored only where
-its value could be kept: when the binary exponent of residual / reference
-alone puts a probe beyond its test (the tolerance for a sibling, the
-cell's own discrepancy for a nearby count), it is dropped before its
-logarithm is taken, so no emitted value changes.
+reference data without editing it. They are kept on the cell's own
+record, and a report's ``diagnostics`` are its diagnosed records. A
+diagnostic probe is scored only where its value could be kept: when the
+binary exponent of residual / reference alone puts a probe beyond its
+test (the tolerance for a sibling, the cell's own discrepancy for a
+nearby count), it is dropped before its logarithm is taken, so no
+emitted value changes.
 
 Every published table uses ``TABLE_ITERATIONS`` = 3 steps. Each cell is
 solved once, as a fixed-count run of 3 steps, and its trace kept: the
@@ -66,36 +68,37 @@ class ReferenceCell(NamedTuple):
 
 
 class BenchmarkRecord(NamedTuple):
+    """One replayed cell, scored, and diagnosed if it missed.
+
+    ``better_counts`` lists (n, discrepancy) for nearby iteration counts
+    that land closer to the reference value than n=3 did; ``alt_methods``
+    lists same-table methods whose own n=3 residual agrees with this
+    cell's reference value. Either one is strong evidence the reference
+    row does not describe a three-step run of the method it is filed
+    under. Both are None for a cell that was not diagnosed, and lists,
+    possibly empty, for one that was.
+    """
+
     cell: ReferenceCell
     computed_value: object
     log10_discrepancy: object  # log10(computed) - log10(paper), None if degenerate
     status: str
     match: bool
-
-
-class CellDiagnostic(NamedTuple):
-    """Context for a mismatched cell.
-
-    better_counts lists (n, discrepancy) for nearby iteration counts that
-    land closer to the reference value than n=3 did; alt_methods lists
-    same-table methods whose own n=3 residual agrees with this cell's
-    reference value. Either one is strong evidence the reference row does
-    not describe a three-step run of the method it is filed under.
-    """
-
-    cell: ReferenceCell
-    better_counts: list
-    alt_methods: list
+    better_counts: list | None
+    alt_methods: list | None
 
 
 class BenchReport(NamedTuple):
-    """The scored records and the mismatched cells' diagnostics.
+    """The scored records; every other figure derives from them.
 
-    ``matched`` and ``total`` derive from ``records``.
+    ``diagnostics`` is the diagnosed records, in record order.
     """
 
     records: list
-    diagnostics: list
+
+    @property
+    def diagnostics(self) -> list:
+        return [r for r in self.records if r.better_counts is not None]
 
     @property
     def matched(self) -> int:
@@ -209,47 +212,35 @@ def run_benchmark(
         return traces[key]
 
     records = []
-    diagnostics = []
     for cell in cells:
         paper = ctx.mpf(cell.paper_value)
         own = three_steps(cell, cell.method)
         computed = abs(own.final.fx)
         disc = _discrepancy(computed, paper, ctx)
         match = disc is not None and abs(disc) <= tol
-        records.append(
-            BenchmarkRecord(
-                cell=cell,
-                computed_value=computed,
-                log10_discrepancy=disc,
-                status=own.status,
-                match=match,
-            )
-        )
-        if match or not with_diagnostics:
-            continue
-        base = abs(disc) if disc is not None else None
-        better = []
-        for n in _NEARBY_COUNTS:
-            # Up to x_3, the n-step run is a prefix of this one. Past x_3,
-            # a completed run takes more steps from x_3; any other status
-            # means it stopped, so its final |f| is the answer.
-            residual = abs(own.iterates[: n + 1][-1].fx)
-            if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
-                cfg = SolveConfig(fixed_iterations=n - TABLE_ITERATIONS)
-                more = solve(cell.method, memos[cell.function], own.final.x, cfg, ctx)
-                residual = abs(more.final.fx)
-            alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
-            if alt_disc is None:
-                continue
-            if base is None or abs(alt_disc) < base:
-                better.append((n, alt_disc))
-        alts = []
-        for tag in TABLE_METHODS:
-            if tag == cell.method:
-                continue
-            alt_disc = _discrepancy(abs(three_steps(cell, tag).final.fx), paper, ctx, beyond=tol)
-            if alt_disc is not None and abs(alt_disc) <= tol:
-                alts.append((tag, alt_disc))
-        diagnostics.append(CellDiagnostic(cell=cell, better_counts=better, alt_methods=alts))
+        better = alts = None
+        if not match and with_diagnostics:
+            base = abs(disc) if disc is not None else None
+            better = []
+            for n in _NEARBY_COUNTS:
+                # Up to x_3, the n-step run is a prefix of this one. Past x_3,
+                # a completed run takes more steps from x_3; any other status
+                # means it stopped, so its final |f| is the answer.
+                residual = abs(own.iterates[: n + 1][-1].fx)
+                if n > TABLE_ITERATIONS and own.status == FIXED_COUNT_COMPLETED:
+                    cfg = SolveConfig(fixed_iterations=n - TABLE_ITERATIONS)
+                    more = solve(cell.method, memos[cell.function], own.final.x, cfg, ctx)
+                    residual = abs(more.final.fx)
+                alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
+                if alt_disc is not None and (base is None or abs(alt_disc) < base):
+                    better.append((n, alt_disc))
+            alts = []
+            for tag in TABLE_METHODS:
+                if tag == cell.method:
+                    continue
+                alt_disc = _discrepancy(abs(three_steps(cell, tag).final.fx), paper, ctx, beyond=tol)
+                if alt_disc is not None and abs(alt_disc) <= tol:
+                    alts.append((tag, alt_disc))
+        records.append(BenchmarkRecord(cell, computed, disc, own.status, match, better, alts))
 
-    return BenchReport(records=records, diagnostics=diagnostics)
+    return BenchReport(records)

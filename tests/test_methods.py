@@ -324,10 +324,18 @@ def test_kernels_return_the_next_iterate_as_an_mpf_of_the_context(bits, tag):
 
 def test_kou_theta_is_normalised_once():
     assert MethodKind("kou") == MethodKind("kou", -1)
-    assert MethodKind("kou").theta == -1
+    assert MethodKind("kou").theta == "-1"
     assert MethodKind("mkdf").theta is None
     # Text is kept as given; 1e400 is finite at every working precision.
     assert MethodKind("kou", "1e400").theta == "1e400"
+    # A float is kept as its text too, so it steps with the decimal that
+    # its label shows, not with its binary64 value.
+    ctx = PrecisionContext(512)
+    f = BUILTINS["f3"]
+    x = ctx.mpf(f.default_x0)
+    fx = f(x, ctx)
+    step = MethodKind("kou", 0.1).stepper()(f, x, fx, ctx)
+    assert step == MethodKind("kou", "0.1").stepper()(f, x, fx, ctx)
 
 
 @pytest.mark.parametrize(

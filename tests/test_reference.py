@@ -152,9 +152,13 @@ def test_empty_selection_scores_nothing(ctx):
 
 def test_diagnostics_cover_exactly_the_mismatches(ctx):
     report = run_benchmark(ctx)
-    mismatched = {(r.cell.table_id, r.cell.method) for r in report.records if not r.match}
-    diagnosed = {(d.cell.table_id, d.cell.method) for d in report.diagnostics}
-    assert diagnosed == mismatched
+    # The diagnostics are the mismatched records themselves, in order; a
+    # matched record carries none.
+    assert report._fields == ("records",)
+    assert report.diagnostics == [r for r in report.records if not r.match]
+    assert all(
+        r.better_counts is None and r.alt_methods is None for r in report.records if r.match
+    )
 
 
 def test_diagnostics_localize_the_swapped_columns(ctx):
@@ -178,6 +182,7 @@ def test_diagnostics_flag_better_iteration_counts(ctx):
 def test_diagnostics_can_be_disabled(ctx):
     report = run_benchmark(ctx, with_diagnostics=False)
     assert report.diagnostics == []
+    assert all(r.better_counts is None and r.alt_methods is None for r in report.records)
 
 
 # -- one solve per cell -----------------------------------------------------------

@@ -164,6 +164,10 @@ def _commands():
     for expr in ("x +", "x^0.5", "x^" + "9" * 5000, "foo(x)"):
         yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", "1"]
     yield ["constant", "--expr", "2 $ x"]
+    # The parser's other refusals: an unclosed call, 101 nested parentheses,
+    # two operands in a row, an exponent that is no literal and a blank.
+    for expr in ("sin(x", "(" * 101 + "x" + ")" * 101, "x x", "x^x", " "):
+        yield ["solve", "--method", "mkdf", "--expr", expr, "--x0", "1"]
     # A decimal exponent too long for int, as --x0 and as a literal.
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0", "1e" + "9" * 5000]
     yield ["solve", "--method", "mkdf", "--expr", "x - 1e" + "9" * 5000, "--x0", "1"]
@@ -186,6 +190,9 @@ def _commands():
     # A non-finite name in capitals, which mpmath reads.
     yield ["solve", "--method", "mkdf", "--function", "f3", "--x0=INF"]
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "0"]
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--max-iterations", "0"]
+    # A tolerance below the convergence floor, which no run can meet.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--tol", "1e-1000"]
     yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "3", "--tol", "1e-3"]
     yield ["solve", "--method", "mkdf", "--function", "f1", "--iterations", "3",
            "--max-iterations", "1"]
