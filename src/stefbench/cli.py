@@ -34,12 +34,33 @@ from .driver import MAX_ITERATIONS, SUCCESS_STATUSES, SolveConfig, refine_root, 
 from .errors import InvalidPrecisionError, ParseError, StefbenchError
 from .functions import BUILTINS, FUNCTION_NAMES, from_expression, get_function
 from .methods import METHOD_TAGS, METHODS, MKDF_THETA, TABLE_METHODS, MethodKind, claimed_order
-from .precision import PrecisionContext
+from .precision import DECIMAL, NON_FINITE, PrecisionContext
 from .reference import DEFAULT_TOLERANCE_ORDERS, run_benchmark
 
 DEFAULT_BITS = 512
 ANALYSIS_ITERATIONS = 6
 THETA_HELP = f"kou parameter (default {MKDF_THETA})"
+
+
+def _number(convert):
+    """An argparse type: ``convert`` (int or float) of text that ``PrecisionContext.mpf`` reads.
+
+    Text that is neither ``precision.DECIMAL`` nor a name in NON_FINITE,
+    such as " 64", "6_4" or a non-ASCII digit, is refused before ``convert``
+    sees it, with argparse's own "invalid int value: '...'" message, as is
+    text that ``convert`` refuses.
+    """
+
+    def read(text):
+        if text.lower() not in NON_FINITE and DECIMAL.fullmatch(text) is None:
+            raise ValueError(text)
+        return convert(text)
+
+    read.__name__ = convert.__name__  # the "int" or "float" of argparse's message
+    return read
+
+
+_INT, _FLOAT = _number(int), _number(float)
 
 
 def _count(n, noun) -> str:
@@ -288,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--precision-bits",
-        type=int,
+        type=_INT,
         default=DEFAULT_BITS,
         metavar="BITS",
         help=f"working precision in bits (default {DEFAULT_BITS})",
@@ -306,11 +327,11 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--function", choices=FUNCTION_NAMES)
     target.add_argument("--expr", help="expression in x, e.g. 'x^2 - 2'")
     p.add_argument("--x0", help="starting point (default: the built-in's table value)")
-    p.add_argument("--iterations", type=int, help="run exactly N steps (benchmark mode)")
+    p.add_argument("--iterations", type=_INT, help="run exactly N steps (benchmark mode)")
     p.add_argument("--tol", help="residual tolerance (default: the convergence floor)")
     p.add_argument(
         "--max-iterations",
-        type=int,
+        type=_INT,
         help=f"step limit in tolerance mode (default {MAX_ITERATIONS})",
     )
     p.add_argument("--theta", help=THETA_HELP)
@@ -318,19 +339,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", parents=[shared], help="replay the reference tables")
-    p.add_argument("--table", type=int, action="append", help="table id 2..8 (repeatable)")
+    p.add_argument("--table", type=_INT, action="append", help="table id 2..8 (repeatable)")
     p.add_argument("--method", action="append", choices=TABLE_METHODS)
     p.add_argument("--function", action="append", choices=FUNCTION_NAMES)
     p.add_argument("--output", dest="fmt", choices=("text", "csv", "json"), default="text")
     p.add_argument(
         "--tolerance-orders",
-        type=float,
+        type=_FLOAT,
         default=DEFAULT_TOLERANCE_ORDERS,
         help="orders of magnitude within which a cell counts as matched",
     )
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_FLOAT,
         default=0.8,
         help="minimum match rate for exit code 0",
     )
@@ -340,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHOD_TAGS)
     p.add_argument("--function", required=True, choices=FUNCTION_NAMES)
     p.add_argument("--x0", help="starting point (default: the table value)")
-    p.add_argument("--iterations", type=int, default=ANALYSIS_ITERATIONS)
+    p.add_argument("--iterations", type=_INT, default=ANALYSIS_ITERATIONS)
     p.add_argument("--theta", help=THETA_HELP)
     p.set_defaults(func=cmd_coc)
 
@@ -349,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--function", choices=FUNCTION_NAMES)
     target.add_argument("--expr", help="expression in x with a root near --x0")
     p.add_argument("--x0", help="root seed (default: table value, or 0.1 for --expr)")
-    p.add_argument("--iterations", type=int, default=ANALYSIS_ITERATIONS)
+    p.add_argument("--iterations", type=_INT, default=ANALYSIS_ITERATIONS)
     p.set_defaults(func=cmd_constant)
 
     p = sub.add_parser("list", help="enumerate methods and functions")

@@ -44,6 +44,9 @@ SUCCESS_STATUSES = (CONVERGED, FIXED_COUNT_COMPLETED)
 
 DIVERGENCE_BOUND = 10**10
 MAX_ITERATIONS = 100  # the tolerance-mode step limit when none is given
+# The most steps solve takes, as fixed_iterations or max_iterations, at
+# every precision: time and trace memory grow with the count.
+MAX_STEPS = 10_000
 REFINE_MAX_ITERATIONS = 60  # refine_root's step limit, on every rung
 
 # refine_root's ladder has no rung at or below this precision: there the
@@ -98,18 +101,20 @@ def solve(
 ) -> IterationTrace:
     """Run ``method`` from ``x0`` per the termination rules of ``cfg``.
 
-    An invalid ``cfg`` or a non-finite ``x0`` raises ``ValueError``; so does
-    an ``f_tolerance`` or a ``max_iterations`` with ``fixed_iterations``,
-    which runs its own step count.
+    An invalid ``cfg`` or a non-finite ``x0`` raises ``ValueError``; so do
+    a step count outside 1..MAX_STEPS, and an ``f_tolerance`` or a
+    ``max_iterations`` with ``fixed_iterations``, which runs its own step
+    count.
     """
     kind = MethodKind(method) if isinstance(method, str) else method
     stepper = kind.stepper()
 
     fixed = cfg.fixed_iterations
-    if fixed is not None and fixed < 1:
-        raise ValueError("fixed_iterations must be >= 1")
-    if cfg.max_iterations is not None and cfg.max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    for name, count in (("fixed_iterations", fixed), ("max_iterations", cfg.max_iterations)):
+        if count is not None and count < 1:
+            raise ValueError(f"{name} must be >= 1")
+        if count is not None and count > MAX_STEPS:
+            raise ValueError(f"{name} must be at most {MAX_STEPS}, got {count}")
     if fixed is not None and cfg.f_tolerance is not None:
         raise ValueError("f_tolerance does not apply to a fixed-count run")
     if fixed is not None and cfg.max_iterations is not None:

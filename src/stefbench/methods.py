@@ -22,7 +22,6 @@ divisor, each slope included, is floor-checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import BreakdownError
@@ -35,9 +34,10 @@ MKDF_THETA = -1
 class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
     """A method identifier; ``theta`` only applies to the kou family.
 
-    kou's theta is kept as its text, ``str`` of what was given, which each
-    step reads at working precision; it defaults to :data:`MKDF_THETA`, and
-    text that ``split_decimal`` refuses is a ValueError. Other methods keep None.
+    kou's theta is kept as its text, ``str`` of what was given, which the
+    callable of ``stepper`` reads once for each context it steps in; it
+    defaults to :data:`MKDF_THETA`, and text that ``split_decimal`` refuses
+    is a ValueError. Other methods keep None.
     """
 
     __slots__ = ()
@@ -55,9 +55,22 @@ class MethodKind(NamedTuple("MethodKind", [("tag", str), ("theta", object)])):
         return super().__new__(cls, tag, theta)
 
     def stepper(self):
-        """Bind this kind to a ``(f, x, fx, ctx) -> x'`` callable."""
+        """Bind this kind to a ``(f, x, fx, ctx) -> x'`` callable.
+
+        kou's callable reads theta at the working precision of each context
+        it sees, once, and steps with that mpf.
+        """
         step = METHODS[self.tag].step
-        return step if self.theta is None else partial(step, theta=self.theta)
+        if self.theta is None:
+            return step
+        thetas = {}
+
+        def kou(f, x, fx, ctx):
+            if ctx not in thetas:
+                thetas[ctx] = ctx.mpf(self.theta)
+            return step(f, x, fx, ctx, theta=thetas[ctx])
+
+        return kou
 
     def label(self) -> str:
         return self.tag if self.theta is None else f"{self.tag}(theta={self.theta})"
@@ -103,8 +116,8 @@ def jain_step(f, x, fx, ctx: PrecisionContext):
     d = _forward_difference(f, x, fx, ctx)
     y = x - fx**2 / d
     fy = f(y, ctx)
-    _check_denominator(fx - fy, "f(x) - f(y)", ctx)
-    return x - fx**3 / (d * (fx - fy))
+    dxy = _check_denominator(fx - fy, "f(x) - f(y)", ctx)
+    return x - fx**3 / (d * dxy)
 
 
 def dehghan1_step(f, x, fx, ctx: PrecisionContext):
@@ -143,20 +156,19 @@ def cordero_step(f, x, fx, ctx: PrecisionContext):
     t = 2 * fx**2 / _central_difference(f, x, fx, ctx)
     y = x - t
     fy = f(y, ctx)
-    _check_denominator(2 * fy - fx, "2f(y) - f(x)", ctx)
-    return x - t * (fy - fx) / (2 * fy - fx)
+    denom = _check_denominator(2 * fy - fx, "2f(y) - f(x)", ctx)
+    return x - t * (fy - fx) / denom
 
 
 def kou_step(f, x, fx, theta, s, ctx: PrecisionContext):
-    """Kou family member with supplied slope s and parameter theta, read by ``ctx.mpf``."""
-    theta = ctx.mpf(theta)
+    """Kou family member with supplied slope s and parameter theta, an int or an mpf of ``ctx``."""
     _check_denominator(s, "slope", ctx)
     y = x - fx / s
     fy = f(y, ctx)
     nxt = x - theta * (fx + fy) / s
     if theta != 1:
-        _check_denominator(fx - fy, "f(x) - f(y)", ctx)
-        nxt = nxt - (1 - theta) * fx**2 / (s * (fx - fy))
+        dxy = _check_denominator(fx - fy, "f(x) - f(y)", ctx)
+        nxt = nxt - (1 - theta) * fx**2 / (s * dxy)
     return nxt
 
 

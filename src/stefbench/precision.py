@@ -40,9 +40,10 @@ MIN_BITS = 64
 MAX_BITS = 65536
 
 # The one syntax of a number: ASCII digits, at least one, with at most one
-# point, and an optional exponent. The tokenizer reads it; _DECIMAL adds a sign.
+# point, and an optional exponent. The tokenizer reads it; DECIMAL adds a
+# sign, for ``mpf`` and every number on the command line.
 NUMBER = r"(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?"
-_DECIMAL = re.compile(r"([+-]?)" + NUMBER)
+DECIMAL = re.compile(r"([+-]?)" + NUMBER)
 NON_FINITE = frozenset({"inf", "+inf", "-inf", "nan"})  # mpmath's names, in any case
 # Digits per int() call, below CPython's default limit of 4300.
 _CHUNK_DIGITS = 4000
@@ -75,7 +76,7 @@ def split_decimal(text: str):
     ValueError for any other text, if the exponent is too long for int()
     (see ``read_exponent``), or if |k| > MAX_DECIMAL_EXPONENT.
     """
-    match = _DECIMAL.fullmatch(text)
+    match = DECIMAL.fullmatch(text)
     if match is None:
         raise ValueError(f"not a decimal number: {shown(text)}")
     sign, whole, frac, exp = match.groups()

@@ -335,6 +335,42 @@ def _solved_bits(capsys, argv):
 def test_precision_bits_flag(capsys):
     argv = ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", "128"]
     assert _solved_bits(capsys, argv) == 128
+    # A sign and leading zeros are decimal text, as int() reads them.
+    for bits in ("+64", "064"):
+        assert _solved_bits(capsys, [*argv[:-1], bits]) == 64
+
+
+# Every numeric flag: (the command before it, the flag, its argparse type name).
+NUMERIC_FLAGS = [
+    (["solve", "--method", "mkdf", "--function", "f3"], "--precision-bits", "int"),
+    (["solve", "--method", "mkdf", "--function", "f3"], "--iterations", "int"),
+    (["solve", "--method", "mkdf", "--function", "f3"], "--max-iterations", "int"),
+    (["coc", "--method", "mkdf", "--function", "f3"], "--iterations", "int"),
+    (["constant", "--function", "f3"], "--iterations", "int"),
+    (["bench"], "--table", "int"),
+    (["bench"], "--tolerance-orders", "float"),
+    (["bench"], "--threshold", "float"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, kind, text",
+    [
+        pytest.param(argv, flag, kind, text, id=f"{argv[0]} {flag}={text!r}")
+        for argv, flag, kind in NUMERIC_FLAGS
+        # int() and float() read each of these; ctx.mpf reads none.
+        for text in ((" 64", "6_4", "\u0661") if kind == "int" else
+                     (" 0.5", "6_4", "\u0660.\u0665", "Infinity"))
+    ],
+)
+def test_numeric_flags_take_only_decimal_text(capsys, argv, flag, kind, text):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={text}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last == f"stefbench {argv[0]}: error: argument {flag}: invalid {kind} value: {text!r}"
 
 
 def test_the_environment_does_not_set_the_precision(capsys, monkeypatch):

@@ -28,7 +28,7 @@ from stefbench import (
     refine_root,
     solve,
 )
-from stefbench.driver import MAX_ITERATIONS, _rungs
+from stefbench.driver import MAX_ITERATIONS, MAX_STEPS, _rungs
 from stefbench.expr import unparse
 from stefbench.methods import METHODS
 from stefbench.precision import PrecisionContext
@@ -281,6 +281,15 @@ def test_config_validation(ctx):
         solve("mkdf", f, ctx.mpf(1), SolveConfig(fixed_iterations=0), ctx)
     with pytest.raises(ValueError):
         solve("mkdf", f, ctx.mpf(1), SolveConfig(max_iterations=0), ctx)
+    # Step counts are bounded as precision is, before any step is taken.
+    assert MAX_STEPS == 10_000
+    for field in ("fixed_iterations", "max_iterations"):
+        cfg = SolveConfig(**{field: MAX_STEPS + 1})
+        with pytest.raises(ValueError, match=f"^{field} must be at most 10000, got 10001$"):
+            solve("mkdf", f, ctx.mpf(1), cfg, ctx)
+        # The bound itself is a valid count; this run stops at the floor.
+        trace = solve("mkdf", f, ctx.mpf(1), SolveConfig(**{field: MAX_STEPS}), ctx)
+        assert trace.status == CONVERGED
     with pytest.raises(ValueError):
         solve("mkdf", f, ctx.mpf(1), SolveConfig(f_tolerance="1e-200"), ctx)
     # A fixed-count run has no tolerance to stop at.

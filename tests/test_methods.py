@@ -322,7 +322,7 @@ def test_kernels_return_the_next_iterate_as_an_mpf_of_the_context(bits, tag):
     assert type(MethodKind(tag).stepper()(f, x, fx, ctx)) is mpf
 
 
-def test_kou_theta_is_normalised_once():
+def test_kou_theta_is_normalised_once(monkeypatch):
     assert MethodKind("kou") == MethodKind("kou", -1)
     assert MethodKind("kou").theta == "-1"
     assert MethodKind("mkdf").theta is None
@@ -336,6 +336,23 @@ def test_kou_theta_is_normalised_once():
     fx = f(x, ctx)
     step = MethodKind("kou", 0.1).stepper()(f, x, fx, ctx)
     assert step == MethodKind("kou", "0.1").stepper()(f, x, fx, ctx)
+    # A run reads its theta once. Text at the exponent bound takes about
+    # 24 ms to read; read at every step, it was nearly all of a long run's time.
+    theta = "1e-362144"
+    reads = []
+    mpf = PrecisionContext.mpf
+
+    def counted_mpf(self, value):
+        if value == theta:
+            reads.append(self.bits)
+        return mpf(self, value)
+
+    monkeypatch.setattr(PrecisionContext, "mpf", counted_mpf)
+    ctx = PrecisionContext(64)
+    f = from_expression("x^2 + 1")
+    trace = solve(MethodKind("kou", theta), f, "0.5", SolveConfig(fixed_iterations=10), ctx)
+    assert (trace.status, len(trace.iterates)) == (FIXED_COUNT_COMPLETED, 11)
+    assert reads == [64]
 
 
 @pytest.mark.parametrize(

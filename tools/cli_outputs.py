@@ -209,6 +209,19 @@ def _commands():
         ("--threshold", "1.5"),
     ):
         yield ["bench", "--table", "4", "--method", "mkdf", f"{option}={value}"]
+    # Text that int() or float() reads but ctx.mpf does not, one per kind of
+    # numeric flag: a space, a non-ASCII digit and an underscore.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", " 64"]
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "\u0661"]
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--max-iterations", "1_0"]
+    yield ["bench", "--table", "\u0664"]
+    yield ["bench", "--table", "4", "--method", "mkdf", "--tolerance-orders", "2_0"]
+    yield ["bench", "--table", "4", "--method", "mkdf", "--threshold", "\u0660.\u0665"]
+    # A step count past the driver's bound of 10000.
+    yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "10001"]
+    # A theta at the exponent bound, read once for a run of 100 steps.
+    yield ["solve", "--method", "kou", "--theta", "1e-362144", "--expr", "x^2 + 1", "--x0", "0.5",
+           "--precision-bits", "64", "--iterations", "100"]
     yield ["coc", "--method", "mkdf", "--function", "f3", "--iterations", "1"]
     yield ["constant", "--expr", "x^2 + 1"]
     yield ["constant", "--expr", "abs(x - 1)", "--x0", "1"]
