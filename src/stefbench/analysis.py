@@ -2,10 +2,10 @@
 
 Order information comes only from usable error pairs: a consecutive pair
 (e_n, e_{n+1}) is usable when both errors sit above the usability floor
-2^(-0.8*bits). Below it, cancellation noise dominates and the quotients are
-meaningless; the 0.2*bits margin over the arithmetic floor keeps at least
-two clean triples for a fourth-order method started near a simple root at
-512 bits. The computational order of convergence (COC) is
+2^-ceil(0.8*bits). Below it, cancellation noise dominates and the quotients
+are meaningless; the 0.2*bits margin over the arithmetic floor keeps at
+least two clean triples for a fourth-order method started near a simple
+root at 512 bits. The computational order of convergence (COC) is
 
     rho_n = ln(|e_{n+1}| / |e_n|) / ln(|e_n| / |e_{n-1}|)
 

@@ -175,7 +175,7 @@ def _rungs(bits: int) -> list:
 
     Working down from ``bits``, each rung is ceil((next + 64) / 3) bits,
     so 3r - 64 >= next: one fourth-order step from a residual near the
-    rung's breakdown floor 2^(-0.9 r) carries more than the next
+    rung's breakdown floor 2^-ceil(0.9 r) carries more than the next
     precision's bits. Rungs stop above LADDER_FLOOR_BITS, so 2048 bits
     gives [704], 4096 gives [484, 1387] and 512 or fewer gives none.
     """

@@ -254,9 +254,8 @@ def test_coc_resolves_a_quotient_next_to_one():
 
 
 def test_usable_floor_exponent(ctx):
-    floor = ctx.usable_floor
-    log2 = ctx.mp.log(floor, 2)
-    assert abs(log2 + ctx.mpf(4 * 512) / 5) < ctx.mpf("1e-20")
+    # 2^-ceil(0.8 * 512): the largest power of two at or below 2^(-409.6).
+    assert ctx.usable_floor == ctx.mpf(2) ** -410
 
 
 # -- empirical ratios -----------------------------------------------------------

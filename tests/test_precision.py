@@ -1,27 +1,27 @@
 """PrecisionContext: validation, floors, unit roundoff, domain guards, rendering."""
 
+import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_rational
 
 from stefbench import (
-    BUILTINS,
     MAX_BITS,
     DomainError,
     InvalidPrecisionError,
     PrecisionContext,
-    SolveConfig,
     from_expression,
-    solve,
 )
 from stefbench.precision import MAX_DECIMAL_EXPONENT
 from conftest import eps
 
 
-# Above MAX_BITS, refused before the context is built, which at 2^20 bits alone takes minutes.
+# Above MAX_BITS, refused before the context is built.
 @pytest.mark.parametrize("bad", [63, 0, -512, "512", 512.0, True, None, MAX_BITS + 1, 10**9])
 def test_rejects_bad_bit_counts(bad):
     with pytest.raises(InvalidPrecisionError):
@@ -38,18 +38,31 @@ def test_maximum_precision_accepted():
     assert PrecisionContext(MAX_BITS).bits == MAX_BITS
 
 
-def test_floors_exact_when_exponents_are_integers():
-    # 640 bits makes both exponents integral: 0.9*640 = 576, 0.95*640 = 608.
-    c = PrecisionContext(640)
-    two = c.mpf(2)
-    assert c.breakdown_floor == two ** -576
-    assert c.convergence_floor == two ** -608
+# (name, k, d) of each floor, nominally 2^(-k*bits/d).
+_FLOORS = (("breakdown_floor", 9, 10), ("convergence_floor", 19, 20), ("usable_floor", 4, 5))
+
+
+# Every exponent is integral at 640 bits. A verdict lies within half a bit
+# of a floor at 83, 159 and 1128 bits, and a residual between two floors at
+# 1792. libmp's d-th root misrounds 2^(-k*bits/d) at 3037, 6164, 12288 and
+# 12312 bits, and rounds it correctly at every precision up to 1499.
+@pytest.mark.parametrize(
+    "bits", [64, 83, 159, 512, 640, 1128, 1499, 1792, 3037, 6164, 12288, 12312, 16384, MAX_BITS]
+)
+def test_floors_are_the_largest_powers_of_two_at_or_below_nominal(bits):
+    c = PrecisionContext(bits)
+    wide = MPContext()
+    wide.prec = bits + 64
+    for name, k, d in _FLOORS:
+        floor = getattr(c, name)
+        assert floor._mpf_ == (0, 1, -math.ceil(Fraction(k * bits, d)), 1), name
+        assert floor <= wide.mpf(2) ** (-wide.mpf(k * bits) / d) < 2 * floor, name
 
 
 def test_floor_ordering_and_magnitude(ctx):
     two = ctx.mpf(2)
-    assert two ** -461 < ctx.breakdown_floor < two ** -460
-    assert two ** -487 < ctx.convergence_floor < two ** -486
+    assert ctx.breakdown_floor == two ** -461
+    assert ctx.convergence_floor == two ** -487
     assert ctx.convergence_floor < ctx.breakdown_floor
 
 
@@ -98,15 +111,6 @@ def test_domain_guards(ctx):
 def test_elementary_functions_take_raw_values_only(ctx, name):
     with pytest.raises(TypeError):
         getattr(ctx, name)(ctx.mpf(2))
-
-
-def test_usable_floor_is_computed_on_first_use():
-    c = PrecisionContext(1024)
-    solve("mkdf", BUILTINS["f3"], c.mpf(1), SolveConfig(), c)
-    assert "usable_floor" not in c.__dict__
-    floor = c.usable_floor
-    assert floor._mpf_ == (c.mpf(2) ** (-c.mpf(4 * 1024) / 5))._mpf_
-    assert c.__dict__["usable_floor"] is floor
 
 
 _LOG10_CONTEXTS = {bits: PrecisionContext(bits) for bits in (64, 512, 2048)}

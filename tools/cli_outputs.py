@@ -89,6 +89,19 @@ def _commands():
     yield ["solve", "--method", "mkdf", "--function", "f3", "--precision-bits", "16384",
            "--format", "json"]
     yield ["coc", "--method", "mkdf", "--function", "f3", "--precision-bits", "16384"]
+    # Floors, each 2^-ceil(k*bits/d). A residual under 2^(-0.95*1128) but
+    # above 2^-1072, which takes one more step and breaks down; a 159-bit
+    # run that converges and an 83-bit one that breaks down, each within
+    # half a bit of a floor; a residual between the two floors; a
+    # precision at which 2^(-0.9*bits) is hard to round; and a context at
+    # MAX_BITS with one step.
+    yield ["solve", "--method", "jain", "--function", "f3", "--precision-bits", "1128"]
+    yield ["solve", "--method", "steffensen", "--function", "f3", "--precision-bits", "159"]
+    yield ["solve", "--method", "dehghan2", "--function", "f3", "--precision-bits", "83"]
+    yield ["solve", "--method", "mkdf", "--function", "f2", "--x0", "0.7", "--precision-bits", "1792"]
+    yield ["coc", "--method", "mkdf", "--function", "f3", "--precision-bits", "3037"]
+    yield ["solve", "--method", "mkdf", "--expr", "x^2 - 2", "--x0", "1", "--precision-bits", "65536",
+           "--iterations", "1"]
     # The order path's edges: exactly one rho, errors that fall below the
     # usability floor mid-run, one ratio, and a run that stops at x0.
     yield ["coc", "--method", "mkdf", "--function", "f3", "--iterations", "2"]
