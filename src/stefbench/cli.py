@@ -14,11 +14,12 @@ against the published rows; JSON and CSV carry full working precision.
 
 Exit codes: 0 success, 1 numerical failure (non-convergence, breakdown,
 benchmark below threshold, a root that cannot be refined or analysed,
-such as a domain error at the root in ``constant``), 2 usage error. Any
-other ``StefbenchError`` is a numerical failure; ``ValueError``,
-``InvalidPrecisionError`` and ``ParseError`` are usage errors. A reader
-that closes stdout early (``stefbench ... | head``) also ends the run
-with exit 1, without a traceback.
+such as a domain error at the root in ``constant``), 2 usage error. One
+rule maps them: a ``ValueError`` is a usage error, ``InvalidPrecisionError``
+and ``ParseError`` included, and any other ``StefbenchError`` is a
+numerical failure. A reader that closes stdout early
+(``stefbench ... | head``) also ends the run with exit 1, without a
+traceback.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import os
 import sys
 
 from .analysis import coc, error_constant
-from .driver import MAX_ITERATIONS, SUCCESS_STATUSES, SolveConfig, refine_root, solve
-from .errors import InvalidPrecisionError, ParseError, StefbenchError
+from .driver import MAX_ITERATIONS, MAX_STEPS, SUCCESS_STATUSES, SolveConfig, refine_root, solve
+from .errors import StefbenchError
 from .functions import BUILTINS, FUNCTION_NAMES, from_expression, get_function
 from .methods import METHOD_TAGS, METHODS, MKDF_THETA, TABLE_METHODS, MethodKind, claimed_order
 from .precision import DECIMAL, NON_FINITE, PrecisionContext
@@ -242,10 +243,12 @@ def cmd_bench(args) -> int:
 
 
 def _analysis_run(kind, f, x0, seed, iterations, ctx):
-    """Refine f's root from ``seed``, then run ``iterations`` steps from x0 against it."""
-    root = refine_root(f, seed, ctx)
-    cfg = SolveConfig(fixed_iterations=iterations)
-    return solve(kind, f, ctx.mpf(x0), cfg, ctx, reference_root=root)
+    """Run ``iterations`` steps from x0, then refine f's root from ``seed`` for it.
+
+    The run comes first, so a step count that ``solve`` refuses costs no refinement.
+    """
+    trace = solve(kind, f, ctx.mpf(x0), SolveConfig(fixed_iterations=iterations), ctx)
+    return trace._replace(root=refine_root(f, seed, ctx))
 
 
 def cmd_coc(args) -> int:
@@ -327,7 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--function", choices=FUNCTION_NAMES)
     target.add_argument("--expr", help="expression in x, e.g. 'x^2 - 2'")
     p.add_argument("--x0", help="starting point (default: the built-in's table value)")
-    p.add_argument("--iterations", type=_INT, help="run exactly N steps (benchmark mode)")
+    p.add_argument(
+        "--iterations",
+        type=_INT,
+        help=f"run N steps (N <= {MAX_STEPS}), fewer if |f| reaches the convergence floor",
+    )
     p.add_argument("--tol", help="residual tolerance (default: the convergence floor)")
     p.add_argument(
         "--max-iterations",
@@ -391,7 +398,7 @@ def main(argv=None) -> int:
         # Python flushes stdout again at exit; devnull takes what is left.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, InvalidPrecisionError, ParseError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StefbenchError as exc:

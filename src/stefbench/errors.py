@@ -5,7 +5,7 @@ class StefbenchError(Exception):
     """Base class for all stefbench errors."""
 
 
-class InvalidPrecisionError(StefbenchError):
+class InvalidPrecisionError(StefbenchError, ValueError):
     """Requested precision is outside the supported range."""
 
 
@@ -14,7 +14,7 @@ class DomainError(StefbenchError):
     non-positive value, sqrt of a negative, division by exact zero)."""
 
 
-class ParseError(StefbenchError):
+class ParseError(StefbenchError, ValueError):
     """Expression text could not be parsed.
 
     ``position`` is the byte offset into the source where the problem

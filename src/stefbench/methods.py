@@ -21,7 +21,6 @@ divisor, each slope included, is floor-checked.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import BreakdownError
@@ -236,4 +235,5 @@ def claimed_order(kind: MethodKind) -> int:
     if kind.theta is None:
         return order
     man, k = split_decimal(kind.theta)
-    return order if man * Fraction(10) ** k == MKDF_THETA else 3
+    # m * 10^k with k > 0 is a multiple of 10, never -1.
+    return order if k <= 0 and man == MKDF_THETA * 10**-k else 3

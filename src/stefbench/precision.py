@@ -13,8 +13,7 @@ function makes at working precision and rounding. The checks signal
 :class:`DomainError` where bare mpmath would return a complex value or an
 infinity (``ln``, ``sqrt``), and for ``sin``, ``cos`` or ``exp`` of a
 magnitude of 2^bits or more: such an argument has no fractional bits
-left, and mpmath's time for it grows with the magnitude. Only ``log10``
-takes and returns mpf values.
+left, and mpmath's time for it grows with the magnitude.
 
 ``mpf`` reads decimal text itself, correctly rounded at any length, so the
 text ``full_str`` prints reads back at every precision for every value
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
 
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import finf, fninf, from_int, from_rational, fzero, mpf_pos, mpf_shift
@@ -102,8 +100,6 @@ class PrecisionContext:
     treated as "at the root";
     ``usable_floor`` = 2^-ceil(0.8 * bits), the smallest error |e_n| that
     still carries order information.
-    ``ln10`` = ln 10 at bits + 20, the guard precision of mpmath's
-    ``log(x, 10)``: the divisor of ``log10``, computed on first use.
     """
 
     def __init__(self, bits: int):
@@ -127,10 +123,6 @@ class PrecisionContext:
         # Expressions compiled for this context, filled by ScalarFunction;
         # the code lives exactly as long as the context does.
         self.compiled = {}
-
-    @cached_property
-    def ln10(self):
-        return self.mp.ln(10, prec=self.bits + 20)
 
     # -- construction -------------------------------------------------
 
@@ -213,16 +205,6 @@ class PrecisionContext:
     def sqrt(self, v):
         self.check_nonnegative("sqrt", v)
         return mpf_sqrt(v, self._prec, self._rnd)
-
-    def log10(self, x):
-        """log10 x of an mpf, bit for bit as ``mp.log10`` gives it, with ln 10 computed once.
-
-        mpmath defines it as ln(x) / ln(10), both taken 20 bits above the
-        working precision; its own ``log10`` recomputes ln(10) every call.
-        """
-        x = self.mp.convert(x)
-        self.check_positive("log10", x._mpf_)
-        return self.mp.ln(x, prec=self.bits + 20) / self.ln10
 
     # -- rendering -----------------------------------------------------
 

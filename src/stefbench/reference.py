@@ -57,6 +57,7 @@ DEFAULT_TOLERANCE_ORDERS = 2.0
 TABLE_ITERATIONS = 3
 # The iteration counts a mismatched cell's diagnostics compare.
 _NEARBY_COUNTS = (1, 2, 4)
+_LOG_GUARD_BITS = 20  # mpmath's log(x, b) takes both logarithms this far above working precision
 
 
 class ReferenceCell(NamedTuple):
@@ -152,8 +153,12 @@ class _PointMemo:
         return value
 
 
-def _discrepancy(computed, paper, ctx, beyond=None):
+def _discrepancy(computed, paper, ctx, ln10, beyond=None):
     """log10(computed / paper), or None if either is 0.
+
+    The logarithm of the quotient q is ``mp.log10``'s bit for bit: ln q over
+    ``ln10``, ln 10 as ``run_benchmark`` takes it once, both at
+    ``_LOG_GUARD_BITS`` above working precision.
 
     With ``beyond`` given, also None when the binary exponent of the
     quotient q alone shows that |log10 q| > ``beyond``. With m = mag(q),
@@ -166,9 +171,9 @@ def _discrepancy(computed, paper, ctx, beyond=None):
     q = computed / paper
     if beyond is not None:
         m = abs(ctx.mp.mag(q))
-        if m < 2 ** (ctx.bits - 4) and (m - 2) * ctx.mp.ln2 > beyond * ctx.ln10:
+        if m < 2 ** (ctx.bits - 4) and (m - 2) * ctx.mp.ln2 > beyond * ln10:
             return None
-    return ctx.log10(q)
+    return ctx.mp.ln(q, prec=ctx.bits + _LOG_GUARD_BITS) / ln10
 
 
 def run_benchmark(
@@ -187,6 +192,8 @@ def run_benchmark(
     tol = ctx.mpf(tolerance_orders)
     if not ctx.mp.isfinite(tol) or tol < 0:
         raise ValueError(f"tolerance_orders must be finite and >= 0, got {tolerance_orders}")
+    # Taken once: mpmath's own log10 takes ln 10 again at every call.
+    ln10 = ctx.mp.ln(10, prec=ctx.bits + _LOG_GUARD_BITS)
     cells = load_reference_cells()
     if tables is not None:
         wanted = set(int(t) for t in tables)
@@ -216,7 +223,7 @@ def run_benchmark(
         paper = ctx.mpf(cell.paper_value)
         own = three_steps(cell, cell.method)
         computed = abs(own.final.fx)
-        disc = _discrepancy(computed, paper, ctx)
+        disc = _discrepancy(computed, paper, ctx, ln10)
         match = disc is not None and abs(disc) <= tol
         better = alts = None
         if not match and with_diagnostics:
@@ -231,14 +238,15 @@ def run_benchmark(
                     cfg = SolveConfig(fixed_iterations=n - TABLE_ITERATIONS)
                     more = solve(cell.method, memos[cell.function], own.final.x, cfg, ctx)
                     residual = abs(more.final.fx)
-                alt_disc = _discrepancy(residual, paper, ctx, beyond=base)
+                alt_disc = _discrepancy(residual, paper, ctx, ln10, beyond=base)
                 if alt_disc is not None and (base is None or abs(alt_disc) < base):
                     better.append((n, alt_disc))
             alts = []
             for tag in TABLE_METHODS:
                 if tag == cell.method:
                     continue
-                alt_disc = _discrepancy(abs(three_steps(cell, tag).final.fx), paper, ctx, beyond=tol)
+                alt = abs(three_steps(cell, tag).final.fx)
+                alt_disc = _discrepancy(alt, paper, ctx, ln10, beyond=tol)
                 if alt_disc is not None and abs(alt_disc) <= tol:
                     alts.append((tag, alt_disc))
         records.append(BenchmarkRecord(cell, computed, disc, own.status, match, better, alts))

@@ -22,7 +22,7 @@ from stefbench import (
     run_benchmark,
 )
 from stefbench.cli import main
-from stefbench.driver import MAX_ITERATIONS
+from stefbench.driver import MAX_ITERATIONS, MAX_STEPS
 
 
 # -- solve --------------------------------------------------------------
@@ -131,6 +131,13 @@ def test_a_too_deep_expression_is_a_usage_error(capsys, text, position):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: expression nested deeper than 100 levels at position {position}\n"
+
+
+def test_every_usage_error_is_a_value_error():
+    # main maps a ValueError to exit 2 and any other StefbenchError to 1.
+    assert issubclass(stefbench.InvalidPrecisionError, ValueError)
+    assert issubclass(stefbench.ParseError, ValueError)
+    assert not issubclass(stefbench.DomainError, ValueError)
 
 
 def test_expression_and_builtin_are_mutually_exclusive():
@@ -320,7 +327,10 @@ def test_max_iterations_with_fixed_iterations_is_a_usage_error(capsys):
 def test_max_iterations_help_reads_the_library_default(capsys):
     with pytest.raises(SystemExit):
         main(["solve", "--help"])
-    assert f"(default {MAX_ITERATIONS})" in " ".join(capsys.readouterr().out.split())
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {MAX_ITERATIONS})" in text
+    # --iterations names the driver's bound and that a run may stop early.
+    assert f"run N steps (N <= {MAX_STEPS}), fewer if |f| reaches the convergence floor" in text
 
 
 # -- precision plumbing --------------------------------------------------
@@ -733,6 +743,23 @@ def test_coc_needs_enough_iterations(capsys):
     rc = main(["coc", "--method", "mkdf", "--function", "f3", "--iterations", "1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coc", "--method", "mkdf", "--function", "f7", "--iterations", "0"],
+        ["constant", "--function", "f7", "--iterations", "10001"],
+    ],
+    ids=["coc", "constant"],
+)
+def test_a_refused_step_count_costs_no_refinement(monkeypatch, capsys, argv):
+    def refuse(*args):
+        raise AssertionError("refine_root was called")
+
+    monkeypatch.setattr("stefbench.cli.refine_root", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: fixed_iterations must be")
 
 
 def test_constant_on_a_quadratic(capsys):

@@ -23,7 +23,7 @@ sys.path.insert(0, str(TOOLS))
 import cli_outputs  # noqa: E402
 
 RECORD = TOOLS / "cli_outputs.txt"
-# All 357 commands take 8-10 s together on a 2-core Xeon, the slowest 0.5-0.7 s.
+# All 359 commands take 8-10 s together on a 2-core Xeon, the slowest 0.5-0.7 s.
 SECONDS_PER_COMMAND = 10
 
 

@@ -9,8 +9,9 @@ import mpmath
 import stefbench
 
 # Each costs milliseconds at start-up, which every CLI command pays.
-# importlib.resources is needed only to read the reference tables.
-NOT_AT_IMPORT = ("dataclasses", "inspect", "importlib.resources")
+# importlib.resources is needed only to read the reference tables, and
+# fractions, which loads decimal, by no code of the package.
+NOT_AT_IMPORT = ("dataclasses", "inspect", "importlib.resources", "fractions", "decimal")
 
 
 def test_import_loads_no_dataclasses_inspect_or_resources():

@@ -229,18 +229,21 @@ def test_the_full_replay_solves_each_cell_once(monkeypatch):
 def test_the_replay_takes_a_logarithm_only_where_it_can_count(monkeypatch):
     # 49 records and 68 kept diagnostic entries, plus 15 entries whose
     # quotient exponent does not decide them, of 292 discrepancies a
-    # replay that scored every probe would take.
+    # replay that scored every probe would take. The first call is ln 10,
+    # taken once.
+    ctx = PrecisionContext(512)
     calls = []
-    log10 = PrecisionContext.log10
+    ln = ctx.mp.ln
 
-    def counting_log10(self, x):
+    def counting_ln(x, **options):
         calls.append(x)
-        return log10(self, x)
+        return ln(x, **options)
 
-    monkeypatch.setattr(PrecisionContext, "log10", counting_log10)
-    report = run_benchmark(PrecisionContext(512))
+    monkeypatch.setattr(ctx.mp, "ln", counting_ln)
+    report = run_benchmark(ctx)
     kept = sum(len(d.better_counts) + len(d.alt_methods) for d in report.diagnostics)
-    assert (report.total, kept, len(calls)) == (49, 68, 132)
+    assert calls[0] == 10 and 10 not in calls[1:]
+    assert (report.total, kept, len(calls) - 1) == (49, 68, 132)
 
 
 # -- one f-evaluation per point -------------------------------------------------

@@ -232,6 +232,10 @@ def _commands():
     yield ["bench", "--table", "4", "--method", "mkdf", "--threshold", "\u0660.\u0665"]
     # A step count past the driver's bound of 10000.
     yield ["solve", "--method", "mkdf", "--function", "f3", "--iterations", "10001"]
+    # Step counts that solve refuses, at the top precision, where refining
+    # the root before refusing them took more than a second.
+    yield ["coc", "--method", "mkdf", "--function", "f7", "--iterations", "0", "--precision-bits", "65536"]
+    yield ["constant", "--function", "f7", "--iterations", "10001", "--precision-bits", "65536"]
     # A theta at the exponent bound, read once for a run of 100 steps.
     yield ["solve", "--method", "kou", "--theta", "1e-362144", "--expr", "x^2 + 1", "--x0", "0.5",
            "--precision-bits", "64", "--iterations", "100"]
